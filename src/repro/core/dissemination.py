@@ -20,17 +20,16 @@ aggregates within a few probe rounds, and ages with the windows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
 from repro.core.histograms import Pmf, WindowedHistogram
-from repro.core.likelihood import CommitLikelihoodModel, LatencyMatrix
+from repro.core.likelihood import CommitLikelihoodModel
+from repro.core.statistics import ModelSource, Pair
 from repro.net.rpc import RpcEndpoint
 from repro.net.topology import Topology
 from repro.sim import Environment, RandomStreams
-
-Pair = Tuple[int, int]
 
 
 class NodeStatsStore:
@@ -81,12 +80,14 @@ class NodeStatsStore:
         return len(self._by_client)
 
 
-class ClientStatsAgent:
+class ClientStatsAgent(ModelSource):
     """One client's measuring, pushing, and merging loop.
 
     ``agent_id`` must be unique per transport; the service hands out
     sequential run-local ids so runs reproduce byte-identically (a
-    process-global counter would leak across runs).
+    process-global counter would leak across runs).  The agent keeps
+    its likelihood model on the hub's incremental path
+    (:class:`~repro.core.statistics.ModelSource`).
     """
 
     def __init__(self, env: Environment, cluster, datacenter: int,
@@ -112,6 +113,8 @@ class ClientStatsAgent:
         #: Latest aggregate received from a storage node.
         self.global_view: Dict[Pair, np.ndarray] = {}
         self.global_sizes: Dict[int, int] = {}
+        #: Replies whose aggregate was adopted (stamps global-view pairs).
+        self.adoptions = 0
         #: Locally observed transaction sizes (cumulative).
         self.own_sizes: Dict[int, int] = {}
         self.pushes = 0
@@ -169,6 +172,7 @@ class ClientStatsAgent:
         if reply:
             self.global_view = reply.get("rtt", {})
             self.global_sizes = reply.get("sizes", {})
+            self.adoptions += 1
 
     def _rotator(self, rotate_ms: float):
         while True:
@@ -185,40 +189,28 @@ class ClientStatsAgent:
                      if hist.total_count() > 0)
         return len(pairs)
 
-    def latency_matrix(self,
-                       fallback: Optional[Topology] = None) -> LatencyMatrix:
-        """This client's current RTT matrix.
+    def _pair_stamp(self, a: int, b: int) -> Optional[Hashable]:
+        """Where this client's statistics for pair (a, b) come from.
 
         Own fresh measurements win over the global aggregate for the
         pairs this client can observe directly; everything else comes
-        from the aggregate, then from the ``fallback`` topology means.
+        from the aggregate (stamped by adoption), then from the
+        fallback topology means.
         """
-        n = len(self.cluster.topology)
-        pmfs: Dict[Pair, Pmf] = {}
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                pmf = self._pair_pmf((a, b)) or self._pair_pmf((b, a))
-                if pmf is not None:
-                    pmfs[(a, b)] = pmf
-                elif fallback is not None:
-                    pmfs[(a, b)] = Pmf.point(
-                        fallback.mean_rtt(a, b), self.bin_ms, self.n_bins)
-                else:
-                    raise ValueError(
-                        f"no statistics for DC pair ({a}, {b}) and no "
-                        "fallback topology")
-        return LatencyMatrix(n, pmfs, self.bin_ms, self.n_bins)
-
-    def _pair_pmf(self, pair: Pair) -> Optional[Pmf]:
-        own = self.own.get(pair)
-        if own is not None and own.total_count() > 0:
-            return own.pmf()
-        counts = self.global_view.get(pair)
-        if counts is not None and counts.sum() > 0:
-            return Pmf.from_counts(counts, self.bin_ms)
+        for pair in ((a, b), (b, a)):
+            own = self.own.get(pair)
+            if own is not None and own.total_count() > 0:
+                return ("own", pair, own.version)
+            counts = self.global_view.get(pair)
+            if counts is not None and counts.sum() > 0:
+                return ("global", pair, self.adoptions)
         return None
+
+    def _stamp_pmf(self, stamp: Hashable) -> Pmf:
+        source, pair, _version = stamp
+        if source == "own":
+            return self.own[pair].pmf()
+        return Pmf.from_counts(self.global_view[pair], self.bin_ms)
 
     def size_distribution(self) -> Dict[int, float]:
         counts: Dict[int, int] = dict(self.global_sizes)
@@ -230,15 +222,15 @@ class ClientStatsAgent:
         return {size: count / total for size, count in sorted(counts.items())}
 
     def build_model(self, leader_distribution: Optional[List[float]] = None,
-                    fallback: Optional[Topology] = None) -> CommitLikelihoodModel:
-        if leader_distribution is None:
-            leader_distribution = \
-                self.cluster.mastership.leader_distribution()
-        model = CommitLikelihoodModel(
-            self.latency_matrix(fallback=fallback), leader_distribution,
-            size_distribution=self.size_distribution())
-        model.precompute()
-        return model
+                    fallback: Optional[Topology] = None,
+                    incremental: bool = False) -> CommitLikelihoodModel:
+        """This client's likelihood model from its current view.
+
+        ``incremental=True`` patches the model a previous call built
+        (see :meth:`~repro.core.statistics.ModelSource._maintain_model`).
+        """
+        return self._maintain_model(leader_distribution, None, fallback,
+                                    None, incremental)
 
 
 class DisseminationService:

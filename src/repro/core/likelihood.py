@@ -20,9 +20,10 @@ of the paper are evaluated over discrete delay PMFs:
 
 All marginalizations are transaction-independent, so the whole model
 collapses to an ``N x N`` matrix of PMFs (one per (client DC, leader
-DC) pair) computed by :meth:`CommitLikelihoodModel.precompute` — the
-compact matrix of §5.2.4.  Per-transaction evaluation is then a lookup
-plus one dot product per record.
+DC) pair) — the compact matrix of §5.2.4, whose rows are built on
+first read after :meth:`CommitLikelihoodModel.precompute`.
+Per-transaction evaluation is then a lookup plus one dot product per
+record.
 
 Fast paths
 ----------
@@ -30,18 +31,23 @@ Model maintenance and evaluation each carry an accelerated layer on
 top of the exact defaults:
 
 * :meth:`CommitLikelihoodModel.precompute` is the exact **reference
-  rebuild** — unchanged numerics, always available as the fallback —
-  but it now also retains every intermediate node of the dependency
-  chain ``rtt → q_leader → q_to_client → mixed → u_by_client →
-  visible_at → phi``.
+  rebuild** of the shared dependency chain ``rtt → q_leader →
+  q_to_client → mixed → u``, all retained.
+* **Rows on demand.** A session only ever reads its own client row,
+  so the per-client tail of the chain — ``visible[cc]`` and the
+  ``phi[(cc, ·)]`` cells — is built the first time a cell of row
+  ``cc`` is read, with the ops of whichever build last dirtied it:
+  the reference ops after :meth:`precompute`, the refresh's fast ops
+  after :meth:`refresh`.  Every cell is bit-identical to what an
+  eager build of the whole matrix produces.
 * :meth:`CommitLikelihoodModel.refresh` is the **incremental
   rebuild**: given the set of (src, dst) RTT pairs that actually
-  changed since the last build, it propagates dirtiness through that
-  chain and recomputes only the affected nodes, using the FFT
-  convolution path with per-PMF cached spectra and the
-  ``renormalize=False`` CDF-domain operations (pinned to the exact
-  reference within 1e-12 by the property suite).  It returns the set
-  of changed ``(client_dc, leader_dc)`` matrix cells.
+  changed since the last build, it recomputes only the dirty nodes of
+  the shared chain, using the FFT convolution path with per-PMF cached
+  spectra and the ``renormalize=False`` CDF-domain operations (pinned
+  to the exact reference within 1e-12 by the property suite), and
+  drops the rows they dirty.  It returns the set of changed
+  ``(client_dc, leader_dc)`` matrix cells.
 * :meth:`CommitLikelihoodModel.record_likelihood` consults a
   :class:`~repro.core.admission.LikelihoodMemo` keyed on
   ``(client_dc, leader_dc, rate, w)``.  With the default exact keys a
@@ -231,15 +237,19 @@ class CommitLikelihoodModel:
             LikelihoodMemo(memo_capacity, rate_quantum=rate_quantum,
                            w_quantum=w_quantum)
             if memo_capacity > 0 else None)
-        # Every intermediate node of the §5.2.4 precompute chain is
-        # retained so refresh() can rebuild only what a statistics
-        # rotation actually dirtied.
+        # Every node of the shared §5.2.4 chain is retained so refresh()
+        # can rebuild only what a statistics rotation actually dirtied.
         self._q_leader: Dict[int, Pmf] = {}
+        self._q_classic: Dict[int, Pmf] = {}
         self._q_to_client: Dict[Tuple[int, int], Pmf] = {}
         self._mixed: Dict[int, Pmf] = {}
         self._u: Dict[int, Pmf] = {}
-        self._visible: Dict[int, Pmf] = {}
+        # Built cells, plus the client rows still to build on first read
+        # (True: with refresh()'s fast ops, False: with the reference ops).
         self._phi: Optional[Dict[Cell, Pmf]] = None
+        self._stale_rows: Dict[int, bool] = {}
+        #: Client rows built so far (a deterministic work counter).
+        self.rows_built = 0
 
     @staticmethod
     def _normalize_weights(weights: Sequence[float], n: int,
@@ -270,11 +280,12 @@ class CommitLikelihoodModel:
     # -- precomputation (§5.2.4) ------------------------------------------------
 
     def precompute(self) -> None:
-        """Build the N x N matrix of conflict-window PMFs (eq. 8a).
+        """Build the shared chain of the N x N conflict-window matrix.
 
-        The exact reference rebuild: every node recomputed with the
-        default (exact) PMF operations.  Clears the likelihood memo —
-        every cell may have moved.
+        The exact reference rebuild: every shared node recomputed with
+        the default (exact) PMF operations, every client row left to be
+        built with the same ops on first read.  Clears the likelihood
+        memo — every cell may have moved.
         """
         n = self.latency.n
         # eq. 2: quorum wait at each possible leader location (the
@@ -300,36 +311,56 @@ class CommitLikelihoodModel:
             self._u[cp] = Pmf.mixture(
                 [mixed.iid_max(tau) for tau in self.size_dist],
                 list(self.size_dist.values()))
-        # eq. 4 tail + eq. 6 marginalization over cp: add the commit-
-        # visibility delay cp -> cc and mix over the client prior.
-        for cc in range(n):
-            self._visible[cc] = Pmf.mixture(
-                [self._u[cp].convolve(self.latency.one_way(cp, cc))
-                 for cp in range(n)],
-                self.client_dist)
-        # eq. 8a: + propose delay from the current client to the leader.
-        self._phi = {
-            (cc, l): self._visible[cc].convolve(self.latency.one_way(cc, l))
-            for cc in range(n) for l in range(n)
-        }
-        # Fast-ballot extension: with probability p the round collides
-        # and additionally pays the classic recovery — a fallback
-        # propose to the record master plus a classic-majority round
-        # there — so each cell's window becomes the (1-p, p) mixture
-        # of the direct chain and the recovery-extended chain.
+        # Fast-ballot collision recovery pays a classic-majority round.
         if self.mode == "fast" and self.collision_probability > 0.0:
-            p = self.collision_probability
-            q_classic = {
+            self._q_classic = {
                 l: Pmf.quorum_of(
                     [self.latency.rtt(l, b) for b in range(n)], self.quorum)
                 for l in range(n)
             }
-            for (cc, l), phi in list(self._phi.items()):
-                recovery = self.latency.one_way(cc, l).convolve(q_classic[l])
-                self._phi[(cc, l)] = Pmf.mixture(
-                    [phi, phi.convolve(recovery)], [1.0 - p, p])
+        self._phi = {}
+        self._stale_rows = dict.fromkeys(range(n), False)
         if self.memo is not None:
             self.memo.clear()
+
+    def _build_row(self, cc: int) -> None:
+        """Build client row ``cc``: ``visible[cc]`` and its ``phi`` cells."""
+        fast = self._stale_rows.pop(cc)
+        n = self.latency.n
+        one_way = self.latency.one_way
+        eps = self.truncate_epsilon
+        # eq. 4 tail + eq. 6 marginalization over cp: add the commit-
+        # visibility delay cp -> cc and mix over the client prior.
+        if fast:
+            # Commuting operations, fused into one spectral pass.
+            visible = Pmf.convolution_mixture(
+                [(self._u[cp], one_way(cp, cc)) for cp in range(n)],
+                self.client_dist).truncate(eps)
+        else:
+            visible = Pmf.mixture(
+                [self._u[cp].convolve(one_way(cp, cc)) for cp in range(n)],
+                self.client_dist)
+        # eq. 8a: + propose delay from the current client to the leader.
+        for l in range(n):
+            if fast:
+                phi = visible.convolve(one_way(cc, l),
+                                       method="fft").truncate(eps)
+            else:
+                phi = visible.convolve(one_way(cc, l))
+            # Fast-ballot extension: with probability p the round
+            # collides and additionally pays the classic recovery — a
+            # fallback propose to the record master plus a classic-
+            # majority round there — so the cell's window becomes the
+            # (1-p, p) mixture of the direct and the recovery-extended
+            # chain.  (refresh() rebuilds such models exactly, so this
+            # branch only ever runs on reference-op rows.)
+            if self.mode == "fast" and self.collision_probability > 0.0:
+                p = self.collision_probability
+                recovery = one_way(cc, l).convolve(self._q_classic[l])
+                phi = Pmf.mixture([phi, phi.convolve(recovery)],
+                                  [1.0 - p, p])
+            self._phi[(cc, l)] = phi
+        self.rows_built += 1
 
     def refresh(self, rtt_updates: Optional[Dict[Tuple[int, int],
                                                  Pmf]] = None,
@@ -337,17 +368,17 @@ class CommitLikelihoodModel:
                 leader_distribution: Optional[Sequence[float]] = None,
                 client_distribution: Optional[Sequence[float]] = None,
                 ) -> Set[Cell]:
-        """Incrementally rebuild the cells dirtied by changed inputs.
+        """Incrementally rebuild what changed inputs dirtied.
 
         ``rtt_updates`` maps directed (src, dst) pairs to their new RTT
         PMFs; the distribution arguments replace the respective priors
-        when given (``None`` means unchanged).  Dirtiness propagates
-        through the dependency chain and only dirty nodes are
-        recomputed — on the accelerated path (FFT convolution with
-        cached spectra, CDF-domain operations without the final
-        re-normalizing division, optional tail truncation).  Property
-        tests pin the result to a fresh :meth:`precompute` within
-        1e-12.
+        when given (``None`` means unchanged).  Only the dirty nodes of
+        the shared chain are recomputed — on the accelerated path (FFT
+        convolution with cached spectra, CDF-domain operations without
+        the final re-normalizing division, optional tail truncation) —
+        and the dirty client rows are dropped, to be rebuilt with the
+        same fast ops on first read.  Property tests pin the result to
+        a fresh :meth:`precompute` within 1e-12.
 
         Returns the set of changed ``(client_dc, leader_dc)`` cells and
         invalidates exactly those cells in the likelihood memo.  Falls
@@ -381,90 +412,73 @@ class CommitLikelihoodModel:
                 self.size_dist = new_sizes
                 sizes_changed = True
 
+        all_cells = {(cc, l) for cc in range(n) for l in range(n)}
         if self._phi is None:
             # Nothing to patch: the exact rebuild is the baseline.
             self.precompute()
-            return set(self._phi)
+            return all_cells
         if (not dirty_pairs and not leaders_changed and not clients_changed
                 and not sizes_changed):
             return set()
         if self.mode == "fast" and self.collision_probability > 0.0:
             # The collision-recovery mixture couples every cell to the
             # classic quorum chain, so an incremental patch would touch
-            # nearly the whole matrix anyway — take the exact rebuild.
+            # the whole matrix anyway — take the exact rebuild.
             self.precompute()
-            return set(self._phi)
+            return all_cells
 
         eps = self.truncate_epsilon
         latency = self.latency
-
-        # eq. 2: only leaders with a changed incident RTT.
-        dirty_leaders = {a for (a, b) in dirty_pairs}
-        for l in sorted(dirty_leaders):
+        # eq. 2 + eq. 3: a changed (l, b) RTT moves leader l's quorum
+        # wait and with it every (l, cp) learned-message node.
+        dirty_leaders = sorted({a for (a, b) in dirty_pairs})
+        for l in dirty_leaders:
             self._q_leader[l] = Pmf.quorum_of(
                 [latency.rtt(l, b) for b in range(n)], self._phase2_quorum,
                 renormalize=False).truncate(eps)
-        # eq. 3: a (l, cp) node moves with its quorum wait or its link.
-        dirty_qtc: Set[Tuple[int, int]] = set()
-        for l in range(n):
             for cp in range(n):
-                if l in dirty_leaders or (l, cp) in dirty_pairs:
-                    self._q_to_client[(l, cp)] = self._q_leader[l].convolve(
-                        latency.one_way(l, cp),
-                        method="fft").truncate(eps)
-                    dirty_qtc.add((l, cp))
-        # eq. 4 + size marginalization.
-        dirty_u: Set[int] = set()
+                self._q_to_client[(l, cp)] = self._q_leader[l].convolve(
+                    latency.one_way(l, cp), method="fft").truncate(eps)
+        # eq. 4 + size marginalization: every mixture spans all leaders,
+        # so any dirty leader dirties every column.
         for cp in range(n):
-            mixed_dirty = (leaders_changed
-                           or any((l, cp) in dirty_qtc for l in range(n)))
-            if mixed_dirty:
+            if dirty_leaders or leaders_changed:
                 self._mixed[cp] = Pmf.mixture(
                     [self._q_to_client[(l, cp)] for l in range(n)],
                     self.leader_dist, renormalize=False)
-            if mixed_dirty or sizes_changed:
+            if dirty_leaders or leaders_changed or sizes_changed:
                 mixed = self._mixed[cp]
                 self._u[cp] = Pmf.mixture(
                     [mixed.iid_max(tau, renormalize=False)
                      for tau in self.size_dist],
                     list(self.size_dist.values()),
                     renormalize=False).truncate(eps)
-                dirty_u.add(cp)
-        # eq. 6: convolve each visibility term with the cp -> cc delay
-        # and mix over the client prior — commuting operations, fused
-        # into one spectral pass per client data center.
-        dirty_visible: Set[int] = set()
-        for cc in range(n):
-            terms_changed = bool(dirty_u) or any(
-                (cp, cc) in dirty_pairs for cp in range(n))
-            if terms_changed or clients_changed:
-                self._visible[cc] = Pmf.convolution_mixture(
-                    [(self._u[cp], latency.one_way(cp, cc))
-                     for cp in range(n)],
-                    self.client_dist).truncate(eps)
-                dirty_visible.add(cc)
-        # eq. 8a: final propose-delay convolution per dirty cell.
-        changed: Set[Cell] = set()
-        for cc in range(n):
-            for l in range(n):
-                if cc in dirty_visible or (cc, l) in dirty_pairs:
-                    self._phi[(cc, l)] = self._visible[cc].convolve(
-                        latency.one_way(cc, l),
-                        method="fft").truncate(eps)
-                    changed.add((cc, l))
+        # eq. 6 mixes every u (and the client prior) into every client
+        # row, so whatever changed dirtied every row and every cell.
+        self._phi = {}
+        self._stale_rows = dict.fromkeys(range(n), True)
         if self.memo is not None:
-            self.memo.invalidate_cells(changed)
-        return changed
+            self.memo.invalidate_cells(all_cells)
+        return all_cells
 
     @property
     def ready(self) -> bool:
         return self._phi is not None
 
     def conflict_window_pmf(self, client_dc: int, leader_dc: int) -> Pmf:
-        """The precomputed ``Phi_W`` distribution for one matrix cell."""
-        if self._phi is None:
+        """The ``Phi_W`` distribution for one matrix cell.
+
+        Builds the cell's client row on its first read after a
+        (re)build.
+        """
+        phi = self._phi
+        if phi is None:
             raise RuntimeError("call precompute() first")
-        return self._phi[(client_dc, leader_dc)]
+        cell = phi.get((client_dc, leader_dc))
+        if cell is None:
+            self._build_row(client_dc)
+            cell = phi[(client_dc, leader_dc)]
+        return cell
 
     # -- per-transaction evaluation ------------------------------------------------
 

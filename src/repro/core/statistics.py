@@ -25,12 +25,119 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.histograms import Pmf, WindowedHistogram
 from repro.core.likelihood import CommitLikelihoodModel, LatencyMatrix
 from repro.net.topology import Topology
 from repro.sim import Environment, RandomStreams
+
+
+Pair = Tuple[int, int]
+
+
+class ModelSource:
+    """Keeps one likelihood model current from a statistics source.
+
+    The one model-maintenance path shared by the cluster hub
+    (:class:`StatisticsService`) and the per-DC dissemination agents
+    (:class:`~repro.core.dissemination.ClientStatsAgent`).  A subclass
+    says where each directed pair's RTT statistics come from through
+    :meth:`_pair_stamp` — a version stamp that moves whenever the
+    pair's PMF would — and :meth:`_stamp_pmf`; this class builds the
+    latency matrix and, on incremental rebuilds, diffs the stamps
+    recorded at the last build to feed only the moved pairs to
+    :meth:`~repro.core.likelihood.CommitLikelihoodModel.refresh`.
+    """
+
+    cluster: Any
+    bin_ms: float
+    n_bins: int
+    # The model built last time and every directed pair's stamp at that
+    # build (both replaced, never mutated, so class defaults are safe).
+    _model: Optional[CommitLikelihoodModel] = None
+    _model_signature: Dict[Pair, Optional[Hashable]] = {}
+
+    def _pair_stamp(self, a: int, b: int) -> Optional[Hashable]:
+        """Version stamp of pair (a, b)'s statistics; None: no samples."""
+        raise NotImplementedError
+
+    def _stamp_pmf(self, stamp: Hashable) -> Pmf:
+        """The RTT PMF of the statistics a stamp names."""
+        raise NotImplementedError
+
+    def size_distribution(self) -> Dict[int, float]:
+        raise NotImplementedError
+
+    def _pairs(self) -> List[Pair]:
+        n = len(self.cluster.topology)
+        return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+    def _pair_pmf(self, pair: Pair, stamp: Optional[Hashable],
+                  fallback: Optional[Topology]) -> Pmf:
+        if stamp is not None:
+            return self._stamp_pmf(stamp)
+        if fallback is not None:
+            return Pmf.point(fallback.mean_rtt(*pair), self.bin_ms,
+                             self.n_bins)
+        raise ValueError(f"no RTT samples for DC pair {pair} "
+                         "and no fallback topology")
+
+    def latency_matrix(self,
+                       fallback: Optional[Topology] = None) -> LatencyMatrix:
+        """The measured RTT matrix.
+
+        Pairs without samples fall back to the topology's mean RTT as a
+        point mass (when ``fallback`` is given) or raise.
+        """
+        rtt_pmfs = {pair: self._pair_pmf(pair, self._pair_stamp(*pair),
+                                         fallback)
+                    for pair in self._pairs()}
+        return LatencyMatrix(len(self.cluster.topology), rtt_pmfs,
+                             self.bin_ms, self.n_bins)
+
+    def _maintain_model(self, leader_distribution: Optional[Sequence[float]],
+                        client_distribution: Optional[Sequence[float]],
+                        fallback: Optional[Topology],
+                        quorum: Optional[int],
+                        incremental: bool) -> CommitLikelihoodModel:
+        """Patch the last model in place, or build a fresh one.
+
+        With ``incremental=True``, a model built by a previous call is
+        patched via
+        :meth:`~repro.core.likelihood.CommitLikelihoodModel.refresh`
+        with the pairs whose stamps moved since that build; only the
+        cells they dirty are rebuilt (likelihood-memo entries for the
+        changed cells are invalidated, the rest survive).  The first
+        call — or a call after a topology/quorum change — always takes
+        the full reference rebuild.
+        """
+        if leader_distribution is None:
+            leader_distribution = self.cluster.mastership.leader_distribution()
+        signature = {pair: self._pair_stamp(*pair) for pair in self._pairs()}
+        model = self._model
+        if (incremental and model is not None
+                and model.latency.n == len(self.cluster.topology)
+                and (quorum is None or quorum == model.quorum)):
+            model.refresh(
+                rtt_updates={
+                    pair: self._pair_pmf(pair, stamp, fallback)
+                    for pair, stamp in sorted(signature.items())
+                    if self._model_signature.get(pair) != stamp},
+                size_distribution=self.size_distribution(),
+                leader_distribution=leader_distribution,
+                client_distribution=client_distribution)
+        else:
+            model = CommitLikelihoodModel(
+                self.latency_matrix(fallback=fallback),
+                leader_distribution,
+                client_distribution=client_distribution,
+                size_distribution=self.size_distribution(),
+                quorum=quorum)
+            model.precompute()
+            self._model = model
+        self._model_signature = signature
+        return model
 
 
 class OracleLatencySource:
@@ -69,7 +176,7 @@ class OracleLatencySource:
         return LatencyMatrix(n, rtt_pmfs, self.bin_ms, self.n_bins)
 
 
-class StatisticsService:
+class StatisticsService(ModelSource):
     """The cluster-wide statistics hub plus client-side probe agents."""
 
     def __init__(self, env: Environment, cluster, streams: RandomStreams,
@@ -86,11 +193,6 @@ class StatisticsService:
         self._rtt: Dict[Tuple[int, int], WindowedHistogram] = {}
         self._sizes: Counter = Counter()
         self._pings_sent = 0
-        # Incremental-rebuild state: the model built last time plus a
-        # snapshot of every directed pair's histogram version at that
-        # build, so the next build knows exactly which pairs moved.
-        self._model: Optional[CommitLikelihoodModel] = None
-        self._model_signature: Dict[Tuple[int, int], int] = {}
         for nodes in cluster.nodes.values():
             for node in nodes:
                 node.stats_provider = self._on_ping
@@ -175,22 +277,6 @@ class StatisticsService:
         return sum(1 for hist in self._rtt.values()
                    if hist.total_count() > 0)
 
-    def latency_matrix(self,
-                       fallback: Optional[Topology] = None) -> LatencyMatrix:
-        """The measured RTT matrix.
-
-        Pairs without samples fall back to the topology's mean RTT as a
-        point mass (when ``fallback`` is given) or raise.
-        """
-        n = len(self.cluster.topology)
-        rtt_pmfs: Dict[Tuple[int, int], Pmf] = {}
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                rtt_pmfs[(a, b)] = self._pair_pmf(a, b, fallback)
-        return LatencyMatrix(n, rtt_pmfs, self.bin_ms, self.n_bins)
-
     def size_distribution(self) -> Dict[int, float]:
         if not self._sizes:
             return {1: 1.0}
@@ -200,40 +286,22 @@ class StatisticsService:
 
     # -- incremental-rebuild bookkeeping --------------------------------------
 
-    def _pair_source(self, a: int, b: int) -> Optional[WindowedHistogram]:
-        """The histogram backing directed pair (a, b), if any has samples."""
-        hist = self._rtt.get((a, b)) or self._rtt.get((b, a))
-        if hist is not None and hist.total_count() > 0:
-            return hist
-        return None
+    def _pair_stamp(self, a: int, b: int) -> Optional[Hashable]:
+        """The histogram backing directed pair (a, b) and its version.
 
-    def _signature(self) -> Dict[Tuple[int, int], int]:
-        """Per-directed-pair version stamp of the current statistics.
-
-        ``-1`` marks a pair still on the fallback point mass; a pair
+        None marks a pair still on the fallback point mass; a pair
         moves between builds iff its stamp moved (histogram versions
         are bumped only by aggregate-count changes).
         """
-        n = len(self.cluster.topology)
-        signature: Dict[Tuple[int, int], int] = {}
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                hist = self._pair_source(a, b)
-                signature[(a, b)] = hist.version if hist is not None else -1
-        return signature
+        key = (a, b) if (a, b) in self._rtt else (b, a)
+        hist = self._rtt.get(key)
+        if hist is not None and hist.total_count() > 0:
+            return (key, hist.version)
+        return None
 
-    def _pair_pmf(self, a: int, b: int,
-                  fallback: Optional[Topology]) -> Pmf:
-        hist = self._pair_source(a, b)
-        if hist is not None:
-            return hist.pmf()
-        if fallback is not None:
-            return Pmf.point(fallback.mean_rtt(a, b), self.bin_ms,
-                             self.n_bins)
-        raise ValueError(f"no RTT samples for DC pair ({a}, {b}) "
-                         "and no fallback topology")
+    def _stamp_pmf(self, stamp: Hashable) -> Pmf:
+        key, _version = stamp
+        return self._rtt[key].pmf()
 
     def build_model(self,
                     leader_distribution: Optional[List[float]] = None,
@@ -243,40 +311,8 @@ class StatisticsService:
                     incremental: bool = False) -> CommitLikelihoodModel:
         """Assemble and precompute a likelihood model from current stats.
 
-        With ``incremental=True``, a model built by a previous call is
-        patched in place via
-        :meth:`~repro.core.likelihood.CommitLikelihoodModel.refresh`:
-        the histogram version stamps recorded at the last build tell
-        exactly which (src, dst) pairs changed, and only the matrix
-        cells those pairs dirty are recomputed (likelihood-memo entries
-        for the changed cells are invalidated, the rest survive).  The
-        first call — or a call after a topology/quorum change — always
-        takes the full reference rebuild.
+        ``incremental=True`` patches the model a previous call built
+        (see :meth:`ModelSource._maintain_model`).
         """
-        if leader_distribution is None:
-            leader_distribution = self.cluster.mastership.leader_distribution()
-        signature = self._signature()
-        model = self._model
-        if (incremental and model is not None
-                and model.latency.n == len(self.cluster.topology)
-                and (quorum is None or quorum == model.quorum)):
-            changed = {pair for pair, stamp in signature.items()
-                       if self._model_signature.get(pair) != stamp}
-            updates = {pair: self._pair_pmf(pair[0], pair[1], fallback)
-                       for pair in sorted(changed)}
-            model.refresh(rtt_updates=updates,
-                          size_distribution=self.size_distribution(),
-                          leader_distribution=leader_distribution,
-                          client_distribution=client_distribution)
-            self._model_signature = signature
-            return model
-        model = CommitLikelihoodModel(
-            self.latency_matrix(fallback=fallback),
-            leader_distribution,
-            client_distribution=client_distribution,
-            size_distribution=self.size_distribution(),
-            quorum=quorum)
-        model.precompute()
-        self._model = model
-        self._model_signature = signature
-        return model
+        return self._maintain_model(leader_distribution, client_distribution,
+                                    fallback, quorum, incremental)

@@ -169,10 +169,10 @@ class ExperimentConfig:
     #: Rebuild measured/distributed models every interval (the paper
     #: recomputes as the statistics windows age); None = build once.
     model_refresh_ms: Optional[float] = None
-    #: Patch the measured model in place on refresh (dirty-pair
-    #: propagation + accelerated PMF algebra) instead of rebuilding
-    #: from scratch.  Pinned to the reference rebuild within 1e-12 by
-    #: the property suite; set False to force full rebuilds.
+    #: Patch the measured/distributed models in place on refresh
+    #: (dirty-pair propagation + accelerated PMF algebra) instead of
+    #: rebuilding from scratch.  Pinned to the reference rebuild within
+    #: 1e-12 by the property suite; set False to force full rebuilds.
     model_refresh_incremental: bool = True
     # windows (virtual time)
     warmup_ms: float = 30_000.0
@@ -438,10 +438,16 @@ class Experiment:
             session.model = self.model
 
     def _prepare_distributed_models(self) -> None:
-        """Per-DC models from each data center's dissemination agent."""
+        """Per-DC models from each data center's dissemination agent.
+
+        Like the measured model: a full reference build first, then
+        in-place refreshes unless the config opts out.
+        """
         for session in self.sessions:
             agent = self._agents[session.datacenter]
-            session.model = agent.build_model(fallback=self.topology)
+            session.model = agent.build_model(
+                fallback=self.topology,
+                incremental=self.config.model_refresh_incremental)
         self.model = self.sessions[0].model if self.sessions else None
 
     def _refresh_loop(self, rebuild, interval_ms: float):

@@ -248,21 +248,35 @@ def bench_likelihood(scale: float, pool: int,
     The incremental path is measured in steady state — a rotation
     stream perturbing one (src, dst) RTT pair per refresh, the way the
     statistics windows age in a live run — against the full reference
-    rebuild of the same model.
+    rebuild of the same model.  Client rows are built on first read,
+    so each arm reads what it rebuilt: every cell after a precompute,
+    the changed cells after a refresh.
     """
     model = _likelihood_model(scale)
-    cold_s = best_of(lambda: timed(model.precompute), repeats)
+    n = model.latency.n
+    cells = [(cc, l) for cc in range(n) for l in range(n)]
+
+    def read(changed) -> None:
+        for cc, l in changed:
+            model.conflict_window_pmf(cc, l)
+
+    def cold_build() -> None:
+        model.precompute()
+        read(cells)
+
+    cold_s = best_of(lambda: timed(cold_build), repeats)
 
     base = model.latency.rtt(0, 1)
     perturbed = [base.shift(2.0), base.shift(4.0)]
     # Warm the spectrum caches once: steady state is what rotations see.
-    model.refresh(rtt_updates={(0, 1): perturbed[0], (1, 0): perturbed[0]})
+    read(model.refresh(rtt_updates={(0, 1): perturbed[0],
+                                    (1, 0): perturbed[0]}))
     flip = itertools.cycle(perturbed[::-1])
 
     def one_rotation() -> float:
         update = next(flip)
-        return timed(lambda: model.refresh(
-            rtt_updates={(0, 1): update, (1, 0): update}))
+        return timed(lambda: read(model.refresh(
+            rtt_updates={(0, 1): update, (1, 0): update})))
 
     refresh_s = best_of(one_rotation, max(5, repeats * 3))
     return {

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import DynamicPolicy
 from repro.core.dissemination import (
     ClientStatsAgent,
     DisseminationService,
     NodeStatsStore,
 )
+from repro.core.likelihood import CommitLikelihoodModel
+from repro.harness import Experiment, ExperimentConfig
 from repro.mdcc import Cluster
 from repro.net import uniform_topology
 from repro.sim import Environment, RandomStreams
@@ -148,6 +151,97 @@ def test_agent_builds_model_end_to_end():
     assert model.ready
     likelihood = model.record_likelihood(0, 1, 0.001)
     assert 0.0 < likelihood < 1.0
+
+
+def count_builds(monkeypatch):
+    """Log every precompute/refresh call as (kind, model)."""
+    calls = []
+    for kind in ("precompute", "refresh"):
+        original = getattr(CommitLikelihoodModel, kind)
+
+        def logged(model, *args, _kind=kind, _original=original, **kwargs):
+            calls.append((_kind, model))
+            return _original(model, *args, **kwargs)
+        monkeypatch.setattr(CommitLikelihoodModel, kind, logged)
+    return calls
+
+
+def test_agent_incremental_build_reuses_the_model(monkeypatch):
+    env, topo, cluster, service = make_world()
+    agents = [service.start_agent(dc, ping_interval_ms=400.0)
+              for dc in range(3)]
+    env.run(until=3_000)
+    calls = count_builds(monkeypatch)
+    first = agents[0].build_model(fallback=topo, incremental=True)
+    assert calls == [("precompute", first)]
+    env.run(until=5_000)  # new probes: own samples and adopted views
+    again = agents[0].build_model(fallback=topo, incremental=True)
+    assert again is first
+    assert calls == [("precompute", first), ("refresh", first)]
+    # The patched model matches a cold build of the same view.
+    cold = agents[0].build_model(fallback=topo)
+    assert cold is not first
+    for l in range(3):
+        diff = np.abs(first.conflict_window_pmf(0, l).probs
+                      - cold.conflict_window_pmf(0, l).probs).max()
+        assert diff < 1e-12
+
+
+def distributed_config(**kwargs):
+    return ExperimentConfig(
+        name="dist", seed=11, topology="uniform", n_datacenters=3,
+        uniform_one_way_ms=30.0, sigma=0.05, spike_prob=0.0,
+        partitions_per_dc=1, n_items=400, hotspot_size=20,
+        rate_tps=60.0, max_items=3, admission=DynamicPolicy(50),
+        spec_threshold=0.95, stats_mode="distributed",
+        ping_interval_ms=500.0, model_refresh_ms=1_000.0,
+        warmup_ms=3_000.0, duration_ms=6_000.0, drain_ms=3_000.0,
+        **kwargs)
+
+
+def test_distributed_refresh_incremental_matches_cold_rebuilds():
+    runs = [Experiment(distributed_config(model_refresh_incremental=flag))
+            for flag in (True, False)]
+    results = [experiment.run() for experiment in runs]
+    assert runs[0].model_refreshes == runs[1].model_refreshes >= 5
+    incremental, cold = results
+    # Same decisions everywhere; the predictions themselves agree to
+    # the refresh path's 1e-12 pin.
+    assert incremental.metrics.records == cold.metrics.records
+    assert incremental.summary() == cold.summary()
+    assert incremental.initial_likelihoods == pytest.approx(
+        cold.initial_likelihoods, abs=1e-12)
+
+
+def test_distributed_agents_build_one_row_per_refresh(monkeypatch):
+    config = distributed_config()
+    experiment = Experiment(config)
+    log = []
+    original = CommitLikelihoodModel.refresh
+
+    def logged(model, *args, **kwargs):
+        changed = original(model, *args, **kwargs)
+        log.append((model, experiment.env.now, bool(changed),
+                    model.rows_built))
+        return changed
+    monkeypatch.setattr(CommitLikelihoodModel, "refresh", logged)
+    experiment.run()
+    # One model per agent, kept across every refresh.
+    models = {session.datacenter: session.model
+              for session in experiment.sessions}
+    assert {id(entry[0]) for entry in log} == {
+        id(model) for model in models.values()}
+    load_end = config.warmup_ms + config.duration_ms
+    for dc, model in models.items():
+        entries = [entry for entry in log
+                   if entry[0] is model and entry[1] <= load_end]
+        assert len(entries) >= 5
+        assert all(changed for _, _, changed, _ in entries)
+        # The session reads its own row after every refresh: exactly
+        # one row built per refresh, never another client's row.
+        rows = [rows_built for _, _, _, rows_built in entries]
+        assert [b - a for a, b in zip(rows, rows[1:])] == [1] * (len(rows) - 1)
+        assert set(model._stale_rows) >= set(range(3)) - {dc}
 
 
 def test_plain_ping_still_answered():

@@ -469,3 +469,93 @@ def test_incremental_build_falls_back_on_quorum_change():
     other = stats.build_model(fallback=topo, quorum=3, incremental=True)
     assert other is not first
     assert other.quorum == 3
+
+
+# ------------------------------------------------------------- rows on demand
+
+
+def eager_reference_matrix(model: CommitLikelihoodModel):
+    """The whole conflict-window matrix, built eagerly from the
+    reference PMF operations (the pre-rows-on-demand precompute)."""
+    latency, n = model.latency, model.latency.n
+    q_leader = {l: _reference_quorum_of([latency.rtt(l, b) for b in range(n)],
+                                        model._phase2_quorum)
+                for l in range(n)}
+    u = {}
+    for cp in range(n):
+        mixed = _reference_mixture(
+            [_reference_convolve(q_leader[l], latency.one_way(l, cp))
+             for l in range(n)], model.leader_dist)
+        u[cp] = _reference_mixture(
+            [_reference_iid_max(mixed, tau) for tau in model.size_dist],
+            list(model.size_dist.values()))
+    p = model.collision_probability
+    phi = {}
+    for cc in range(n):
+        visible = _reference_mixture(
+            [_reference_convolve(u[cp], latency.one_way(cp, cc))
+             for cp in range(n)], model.client_dist)
+        for l in range(n):
+            cell = _reference_convolve(visible, latency.one_way(cc, l))
+            if p > 0.0:
+                q_classic = _reference_quorum_of(
+                    [latency.rtt(l, b) for b in range(n)], model.quorum)
+                recovery = _reference_convolve(latency.one_way(cc, l),
+                                               q_classic)
+                cell = _reference_mixture(
+                    [cell, _reference_convolve(cell, recovery)],
+                    [1.0 - p, p])
+            phi[(cc, l)] = cell
+    return phi
+
+
+ROW_MODES = [dict(), dict(mode="fast", collision_probability=0.3)]
+
+
+@pytest.mark.parametrize("kwargs", ROW_MODES, ids=["classic", "fast"])
+def test_rows_on_demand_are_bit_identical_to_eager_reference(kwargs):
+    model = make_model(**kwargs)
+    expected = eager_reference_matrix(model)
+    assert model.rows_built == 0  # precompute builds no client row
+    # Rows come in any order; each is built once, on its first read.
+    for cc in (2, 0, 1):
+        for l in range(N_DC):
+            got = model.conflict_window_pmf(cc, l)
+            assert np.array_equal(got.probs, expected[(cc, l)].probs)
+    assert model.rows_built == N_DC
+    model.record_likelihood(1, 2, 1e-3)
+    assert model.rows_built == N_DC
+
+
+@pytest.mark.parametrize("kwargs", ROW_MODES, ids=["classic", "fast"])
+@pytest.mark.parametrize("read_before", [(), (1,), (0, 1, 2)])
+def test_rows_after_refresh_match_precompute(kwargs, read_before):
+    model = make_model(**kwargs)
+    for cc in read_before:
+        model.conflict_window_pmf(cc, 0)
+    update = model.latency.rtt(0, 2).shift(6.0)
+    changed = model.refresh(rtt_updates={(0, 2): update, (2, 0): update})
+    assert changed == {(cc, l) for cc in range(N_DC) for l in range(N_DC)}
+    # Only the shared chain was rebuilt; every row waits for a read.
+    built = model.rows_built
+    fresh = make_model(**kwargs)
+    fresh.latency.update_rtt(0, 2, update)
+    fresh.latency.update_rtt(2, 0, update)
+    fresh.precompute()
+    for cc in range(N_DC):
+        for l in range(N_DC):
+            assert max_abs_diff(model.conflict_window_pmf(cc, l),
+                                fresh.conflict_window_pmf(cc, l)) < TOL
+    assert model.rows_built == built + N_DC
+
+
+def test_unread_rows_are_never_built():
+    model = make_model()
+    model.transaction_likelihood(2, [(0, 1e-3), (1, 2e-3)], w_ms=1.0)
+    update = model.latency.rtt(0, 1).shift(2.0)
+    model.refresh(rtt_updates={(0, 1): update, (1, 0): update})
+    model.record_likelihood(2, 2, 1e-3)
+    assert model.rows_built == 2  # row 2, once per build
+    unbuilt = CommitLikelihoodModel(model.latency, [1.0] * N_DC)
+    with pytest.raises(RuntimeError):
+        unbuilt.conflict_window_pmf(0, 0)

@@ -23,7 +23,7 @@ from repro import (
     quick_cluster,
 )
 from repro.core.retry import BackoffPolicy, execute_with_retries
-from repro.harness.tracing import TransactionTracer
+from repro.obs.txtrace import TransactionTracer
 
 FLASH_ITEM = "item:flash"
 CROWD_TPS = 40.0

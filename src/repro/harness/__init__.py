@@ -7,7 +7,6 @@ windows in virtual time, and returns an :class:`ExperimentResult`
 whose :class:`MetricsCollector` exposes the series each figure plots.
 """
 
-from repro.harness.metrics import MetricsCollector, TxRecord
 from repro.harness.experiment import (
     Experiment,
     ExperimentConfig,
@@ -20,7 +19,6 @@ from repro.harness.report import (
     render_bars,
     render_curves,
 )
-from repro.harness.monitoring import ClusterSnapshot, HealthMonitor, snapshot
 from repro.harness.parallel import (
     default_pool_size,
     parallel_map,
@@ -31,7 +29,9 @@ from repro.harness.sharding import (
     run_sharded,
     shard_configs,
 )
-from repro.harness.tracing import TransactionTrace, TransactionTracer
+from repro.obs import MetricsCollector, TxRecord
+from repro.obs.monitor import ClusterSnapshot, HealthMonitor, snapshot
+from repro.obs.txtrace import TransactionTrace, TransactionTracer
 
 __all__ = [
     "ClusterSnapshot",

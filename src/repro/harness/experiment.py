@@ -14,9 +14,9 @@ from repro.core import (
     PlanetSession,
     StatisticsService,
 )
-from repro.harness.metrics import MetricsCollector, TxRecord
 from repro.mdcc import Cluster
 from repro.net import Topology, ec2_five_dc, uniform_topology
+from repro.obs import MetricsCollector, TxRecord
 from repro.sim import Environment, RandomStreams
 from repro.storage.record import WriteOp
 from repro.workload import (
@@ -128,18 +128,12 @@ class ExperimentConfig:
     #: Fraction of arrivals that are read-only browse transactions.
     read_fraction: float = 0.0
     #: Load engine: ``"per-client"`` (the default per-arrival generator
-    #: process), ``"aggregate"`` (batch-scheduled, exact replay of the
-    #: per-client draw sequence — byte-identical histories), or
-    #: ``"aggregate-vectorized"`` (batch-scheduled with vectorized
-    #: numpy draws — same distributions, the million-client scale path).
+    #: process) or ``"aggregate-vectorized"`` (batches drawn with
+    #: vectorized numpy draws — same distributions, the million-client
+    #: scale path).
     load_engine: str = "per-client"
-    #: Arrivals drawn and scheduled per batch by the aggregate engines.
-    load_batch_size: int = 1024
-    #: Schedule aggregate batches on an array-backed kernel timer lane
-    #: instead of per-arrival heap events.
-    load_timer_lane: bool = True
     #: Simulated user population for client attribution in the
-    #: aggregate engines (0 = untracked).
+    #: aggregate engine (0 = untracked).
     load_population: int = 0
     #: Time-varying rate shape applied to the arrival process (see
     #: :mod:`repro.workload.modulation`); None keeps the constant-rate
@@ -468,6 +462,9 @@ class Experiment:
     def _build_load(self):
         """The configured load engine (see ``load_engine``)."""
         config = self.config
+        if config.load_population and config.load_engine == "per-client":
+            raise ValueError(
+                "load_population requires the aggregate-vectorized engine")
         if config.tenants is not None:
             if config.load_engine != "per-client":
                 raise ValueError(
@@ -492,17 +489,12 @@ class Experiment:
                                   name=config.name,
                                   arrivals=arrivals,
                                   read_fraction=config.read_fraction)
-        if config.load_engine in ("aggregate", "aggregate-vectorized"):
-            mode = ("exact" if config.load_engine == "aggregate"
-                    else "vectorized")
+        if config.load_engine == "aggregate-vectorized":
             return AggregateLoad(self.env, self.factory, self._issuer,
                                  config.rate_tps, self.streams,
                                  name=config.name,
                                  arrivals=arrivals,
                                  read_fraction=config.read_fraction,
-                                 mode=mode,
-                                 batch_size=config.load_batch_size,
-                                 use_timer_lane=config.load_timer_lane,
                                  population=config.load_population)
         raise ValueError(f"unknown load engine {config.load_engine!r}")
 

@@ -5,10 +5,8 @@ option decisions at leaders, Paxos round losses, transport traffic,
 RPC queue depths, client commit/abort tallies — into one snapshot for
 reports and regression checks.
 
-Moved here from ``repro.harness.monitoring`` (which remains as a
-compat shim) when the observability layer was unified under
-``repro.obs``.  New here: :class:`HealthMonitor` publishes each sample
-as ``cluster.*`` gauges into an installed
+:class:`HealthMonitor` also publishes each sample as ``cluster.*``
+gauges into an installed
 :class:`~repro.obs.metrics.MetricsRegistry`, so the polling counters
 land in the same metric dump as the event-driven instrumentation.
 """

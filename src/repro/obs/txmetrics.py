@@ -1,9 +1,4 @@
-"""Per-transaction records and the aggregate series the figures plot.
-
-Moved here from ``repro.harness.metrics`` when the observability layer
-was unified under ``repro.obs``; the old module remains as a compat
-shim re-exporting these names.
-"""
+"""Per-transaction records and the aggregate series the figures plot."""
 
 from __future__ import annotations
 

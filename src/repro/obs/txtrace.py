@@ -7,9 +7,7 @@ option, the decision, stage-block firings — with virtual timestamps.
 
 This is the *single-node* timeline complement to the cross-node span
 trees of :mod:`repro.obs.spans`: handy for examples and debugging one
-transaction interactively.  Moved here from ``repro.harness.tracing``
-(which remains as a compat shim) when the observability layer was
-unified under ``repro.obs``.
+transaction interactively.
 """
 
 from __future__ import annotations

@@ -416,8 +416,7 @@ def _scale_shard(args: Tuple[float, int, int, float]) -> Tuple[int, int]:
     issuer = _CountingIssuer()
     load = AggregateLoad(
         env, factory, issuer, rate_tps, streams, name="scale-shard",
-        mode="vectorized", batch_size=4_096, use_timer_lane=True,
-        population=population)
+        batch_size=4_096, population=population)
     load.start(duration_ms=window_ms)
     env.run(until=window_ms)
     return issuer.issued, load.distinct_clients()
@@ -427,18 +426,17 @@ def bench_scale(scale: float, pool: int,
                 repeats: int = 1) -> Dict[str, float]:
     """Million-client load generation through the batched engine.
 
-    One :class:`AggregateLoad` in vectorized mode drives 10⁵ tx/s from
-    a 10⁶-user population (Zipf access over a 100k-item catalogue) for
-    ``SCALE_WINDOW_MS * scale`` simulated ms — once on the kernel's
-    array-backed timer lane and once on per-arrival heap events
-    (``lane_speedup`` is the ratio).  ``within_budget`` is 1.0 when
-    the lane arm finishes under the wall-clock budget and the process
-    high-water RSS stays under the memory budget; ``--compare`` fails
-    on 0.0.  The per-client engine at this rate would be ~10⁶ heap
-    events plus one generator resume each — the number this bench
-    exists to make unnecessary.
+    One :class:`AggregateLoad` drives 10⁵ tx/s from a 10⁶-user
+    population (Zipf access over a 100k-item catalogue) for
+    ``SCALE_WINDOW_MS * scale`` simulated ms, one wheel timer per
+    pending arrival.  ``within_budget`` is 1.0 when the run finishes
+    under the wall-clock budget and the process high-water RSS stays
+    under the memory budget; ``--compare`` fails on 0.0.  The
+    per-client engine at this rate would be ~10⁶ heap events plus one
+    generator resume each — the number this bench exists to make
+    unnecessary.
 
-    When >= 2 CPUs are usable, a third arm runs the same workload
+    When >= 2 CPUs are usable, a second arm runs the same workload
     through the sharding layer: the population split into one shard
     per worker (same decomposition :func:`repro.harness.sharding.
     shard_configs` uses), each shard its own kernel in a pool process.
@@ -448,7 +446,7 @@ def bench_scale(scale: float, pool: int,
     window_ms = max(1_000.0, SCALE_WINDOW_MS * scale)
     observed: Dict[str, float] = {}
 
-    def run(use_lane: bool) -> float:
+    def run() -> float:
         env = Environment()
         streams = RandomStreams(seed=97)
         pattern = ZipfianAccess(100_000, s=0.99)
@@ -456,17 +454,14 @@ def bench_scale(scale: float, pool: int,
         issuer = _CountingIssuer()
         load = AggregateLoad(
             env, factory, issuer, SCALE_RATE_TPS, streams, name="scale",
-            mode="vectorized", batch_size=4_096, use_timer_lane=use_lane,
-            population=SCALE_USERS)
+            batch_size=4_096, population=SCALE_USERS)
         load.start(duration_ms=window_ms)
         seconds = timed(lambda: env.run(until=window_ms))
-        if use_lane:
-            observed["arrivals"] = float(issuer.issued)
-            observed["clients"] = float(load.distinct_clients())
+        observed["arrivals"] = float(issuer.issued)
+        observed["clients"] = float(load.distinct_clients())
         return seconds
 
-    lane_s = best_of(lambda: run(True), repeats)
-    heap_s = best_of(lambda: run(False), repeats)
+    single_s = best_of(run, repeats)
 
     shards = max(1, min(pool, effective_cpu_count()))
     sharded_s = 0.0
@@ -496,7 +491,7 @@ def bench_scale(scale: float, pool: int,
 
     rss = peak_rss_mb()
     wall_budget = max(5.0, SCALE_WALL_BUDGET_S * scale)
-    within = 1.0 if (lane_s <= wall_budget
+    within = 1.0 if (single_s <= wall_budget
                      and rss <= SCALE_RSS_BUDGET_MB) else 0.0
     arrivals = observed["arrivals"]
     return {
@@ -504,14 +499,12 @@ def bench_scale(scale: float, pool: int,
         "rate_tps": SCALE_RATE_TPS,
         "window_ms": window_ms,
         "arrivals": arrivals,
-        "seconds": lane_s,
-        "arrivals_per_sec": arrivals / lane_s if lane_s > 0 else 0.0,
-        "heap_seconds": heap_s,
-        "lane_speedup": heap_s / lane_s if lane_s > 0 else 0.0,
+        "seconds": single_s,
+        "arrivals_per_sec": arrivals / single_s if single_s > 0 else 0.0,
         "shards": float(shards),
         "sharded_seconds": sharded_s,
         "sharded_arrivals": sharded_arrivals,
-        "shard_speedup": lane_s / sharded_s if sharded_s > 0 else 0.0,
+        "shard_speedup": single_s / sharded_s if sharded_s > 0 else 0.0,
         "distinct_clients": observed["clients"],
         "peak_rss_mb": rss,
         "wall_budget_s": wall_budget,
@@ -740,5 +733,5 @@ BENCHES: List[BenchSpec] = [
               "s", "independent-config sweep, serial vs persistent pool"),
     BenchSpec("scale", bench_scale, "arrivals_per_sec", True,
               "arrivals/s", "1M-user aggregate load at 100k tx/s, "
-              "lane vs heap vs sharded kernels"),
+              "one kernel vs sharded kernels"),
 ]

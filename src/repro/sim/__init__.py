@@ -20,7 +20,6 @@ from repro.sim.kernel import (
     Process,
     SimulationError,
     Timeout,
-    TimerLane,
     TimerWheel,
     WheelTimer,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "RandomStreams",
     "SimulationError",
     "Timeout",
-    "TimerLane",
     "TimerWheel",
     "WheelTimer",
 ]

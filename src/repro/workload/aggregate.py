@@ -4,33 +4,23 @@
 with one generator process and one heap event per arrival — faithful,
 but at 10⁴ tx/s the kernel spends most of its time resuming the load
 generator and re-drawing scalars one at a time.  ``AggregateLoad``
-replaces that with *batch* scheduling: arrival times, item counts, key
-indices, and read/write coin flips for a whole batch are drawn in a
-handful of vectorized numpy calls, and the batch is registered with
-the kernel either as one array-backed timer lane
-(:meth:`repro.sim.Environment.add_timer_lane`) or, when the lane is
-disabled, as a single generator process.  The issuer-facing behaviour
-is unchanged: each arrival still calls
+replaces that with *batch* drawing: arrival times, item counts, key
+indices, and read/write coin flips for a whole batch come from a
+handful of vectorized numpy calls on the seeded numpy stream
+(:meth:`repro.sim.RandomStreams.numpy_generator`) — the same
+distributions as the per-client path, on a different (deterministic)
+sample path.  Python work per arrival is O(1) and numpy work O(batch)
+per batch.
+
+Scheduling uses one cancellable timer on the kernel's timer wheel
+(:meth:`repro.sim.Environment.arm_timer`) for the next pending
+arrival; its callback issues that arrival and arms the one after it,
+drawing a fresh batch once the current one is spent.  Each batch's
+times are converted to Python floats once, so ``env.now`` stays a
+plain float.  The issuer-facing behaviour matches the per-client
+path: each arrival calls
 :meth:`~repro.workload.load.TransactionIssuer.issue` (or
 ``issue_read``) at its exact simulated arrival time.
-
-Two modes trade exactness for speed:
-
-``exact``
-    Pre-draws each batch from the *same* ``random.Random`` stream the
-    per-client path uses (``load-<name>``), replicating its draw order
-    — gap, then transaction build, then the read-fraction coin —
-    arrival by arrival.  Because that stream is private to the load,
-    pre-drawing a batch up front yields byte-identical histories to
-    ``OpenSystemLoad`` (pinned by tests).  Use it to validate the
-    batched plumbing.
-
-``vectorized``
-    Draws from the seeded numpy twin stream
-    (:meth:`repro.sim.RandomStreams.numpy_generator`).  Same
-    distributions, different (deterministic) sample path; this is the
-    scale mode — O(1) python work per arrival, O(batch) numpy work per
-    batch.
 
 With ``population`` set, every arrival is also attributed to one of
 ``population`` simulated users (uniformly, from a dedicated stream)
@@ -41,17 +31,17 @@ generator processes.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.sim import Environment, RandomStreams
+from repro.sim import Environment, RandomStreams, WheelTimer
 from repro.workload.buying import BuyTransactionFactory
 from repro.workload.load import PoissonArrivals, TransactionIssuer
 
 
 class AggregateLoad:
-    """Issues buy transactions at an aggregate rate, batch-scheduled.
+    """Issues buy transactions at an aggregate rate, batch-drawn.
 
     Drop-in alternative to :class:`OpenSystemLoad`: same constructor
     shape, same ``start``/``stop`` lifecycle, same ``issued`` /
@@ -64,12 +54,8 @@ class AggregateLoad:
                  streams: RandomStreams, name: str = "load",
                  arrivals: Optional[object] = None,
                  read_fraction: float = 0.0,
-                 mode: str = "vectorized",
                  batch_size: int = 1024,
-                 use_timer_lane: bool = True,
                  population: int = 0):
-        if mode not in ("vectorized", "exact"):
-            raise ValueError(f"unknown aggregate mode {mode!r}")
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if population < 0:
@@ -84,15 +70,11 @@ class AggregateLoad:
         self.issuer = issuer
         self.arrivals = arrivals or PoissonArrivals(rate_tps)
         self.read_fraction = float(read_fraction)
-        self.mode = mode
         self.batch_size = int(batch_size)
-        self.use_timer_lane = bool(use_timer_lane)
         self.population = int(population)
-        # Exact mode replays the per-client stream; vectorized mode
-        # uses its numpy twin.  Client attribution always has its own
-        # stream so enabling it never perturbs the arrival sequence.
-        self._rng = streams.get(f"load-{name}")
-        self._np_rng = streams.numpy_generator(f"load-{name}")
+        # Client attribution has its own stream so enabling it never
+        # perturbs the arrival sequence.
+        self._rng = streams.numpy_generator(f"load-{name}")
         self._client_rng = streams.numpy_generator(f"load-{name}-clients")
         self._clients_seen = (np.zeros(population, dtype=bool)
                               if population else None)
@@ -102,13 +84,16 @@ class AggregateLoad:
         self._finished = False
         self._deadline: Optional[float] = None
         self._next_time = 0.0
-        self._lane: Any = None
+        # Arrival times are sorted and never behind the clock, so arm
+        # straight on the wheel, skipping arm_timer's past-deadline check.
+        self._arm = env.timer_wheel.arm
+        self._timer: Optional[WheelTimer] = None
         # Current batch payload (parallel, indexed by arrival).
-        self._times: Sequence[float] = ()
+        self._times: List[float] = []
         self._writes: List[list] = []
         self._hot: Any = ()
         self._reads: Any = None
-        self._last_index = -1
+        self._index = 0
 
     # -- lifecycle ----------------------------------------------------
 
@@ -121,16 +106,13 @@ class AggregateLoad:
         self._next_time = self.env.now
         self._deadline = (self.env.now + duration_ms
                           if duration_ms is not None else None)
-        if self.use_timer_lane:
-            self._begin_batch()
-        else:
-            self.env.process(self._run())
+        self._next_batch()
 
     def stop(self) -> None:
         self._running = False
-        if self._lane is not None:
-            self._lane.cancel()
-            self._lane = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def distinct_clients(self) -> int:
         """How many of the ``population`` users have issued so far."""
@@ -142,62 +124,12 @@ class AggregateLoad:
 
     def _load_batch(self) -> int:
         """Draw the next batch into the payload arrays; return size."""
-        if self.mode == "exact":
-            n = self._draw_exact()
-        else:
-            n = self._draw_vectorized()
-        self._last_index = n - 1
-        if n and self._clients_seen is not None:
-            clients = self._client_rng.integers(
-                0, self.population, size=n)
-            self._clients_seen[clients] = True
-        return n
-
-    def _draw_exact(self) -> int:
         rng = self._rng
-        arrivals = self.arrivals
-        factory = self.factory
-        read_fraction = self.read_fraction
-        deadline = self._deadline
-        t = self._next_time
-        times: List[float] = []
-        writes: List[list] = []
-        hot: List[bool] = []
-        reads: List[bool] = [] if read_fraction else None  # type: ignore
-        # Modulated arrivals rescale each gap by the factor at the
-        # previous arrival time — the same time base OpenSystemLoad
-        # sees (env.now at draw time), so exact mode stays replayable.
-        timed = getattr(arrivals, "next_interarrival_ms_at", None)
-        for _ in range(self.batch_size):
-            # Identical draw order to OpenSystemLoad._run: gap, build,
-            # then the read coin — and the gap that crosses the
-            # deadline stops the load *without* building.
-            gap = (timed(rng, t) if timed is not None
-                   else arrivals.next_interarrival_ms(rng))
-            if deadline is not None and t + gap >= deadline:
-                self._finished = True
-                break
-            t += gap
-            txn, touches_hotspot = factory.build(rng)
-            times.append(t)
-            writes.append(txn)
-            hot.append(touches_hotspot)
-            if read_fraction:
-                reads.append(rng.random() < read_fraction)
-        self._next_time = t
-        self._times = times
-        self._writes = writes
-        self._hot = hot
-        self._reads = reads
-        return len(times)
-
-    def _draw_vectorized(self) -> int:
-        np_rng = self._np_rng
         timed = getattr(self.arrivals, "batch_interarrivals_at", None)
         if timed is not None:
-            gaps = timed(np_rng, self.batch_size, self._next_time)
+            gaps = timed(rng, self.batch_size, self._next_time)
         else:
-            gaps = self.arrivals.batch_interarrivals(np_rng, self.batch_size)
+            gaps = self.arrivals.batch_interarrivals(rng, self.batch_size)
         times = np.cumsum(gaps)
         times += self._next_time
         if self._deadline is not None:
@@ -208,17 +140,33 @@ class AggregateLoad:
         n = times.shape[0]
         if n:
             self._next_time = float(times[-1])
-            self._writes, self._hot = self.factory.build_batch(np_rng, n)
-            self._reads = (np_rng.random(n) < self.read_fraction
+            self._writes, self._hot = self.factory.build_batch(rng, n)
+            self._reads = (rng.random(n) < self.read_fraction
                            if self.read_fraction else None)
-        else:
-            self._writes, self._hot, self._reads = [], (), None
-        self._times = times
+            if self._clients_seen is not None:
+                clients = self._client_rng.integers(
+                    0, self.population, size=n)
+                self._clients_seen[clients] = True
+        # One C-speed conversion per batch: scalar reads off a numpy
+        # array would box an np.float64 per arrival and leak it into
+        # the clock.
+        self._times = times.tolist()
         return n
 
     # -- delivery -----------------------------------------------------
 
-    def _issue(self, index: int) -> None:
+    def _next_batch(self) -> None:
+        """Draw a batch and arm its first arrival, or finish the load."""
+        if self._finished or not self._load_batch():
+            self._running = False
+            self._timer = None
+            return
+        self._index = 0
+        self._timer = self._arm(self._times[0], self._fire)
+
+    def _fire(self) -> None:
+        """Wheel-timer callback: issue one arrival, arm the next."""
+        index = self._index
         if self._reads is not None and self._reads[index]:
             self.issuer.issue_read(  # type: ignore[attr-defined]
                 [op.key for op in self._writes[index]])
@@ -226,46 +174,11 @@ class AggregateLoad:
         else:
             self.issuer.issue(self._writes[index], bool(self._hot[index]))
             self.issued += 1
-
-    def _begin_batch(self) -> None:
-        """Lane mode: draw a batch and register it with the kernel."""
-        n = self._load_batch()
-        if n == 0:
-            self._running = False
-            self._lane = None
-            return
-        self._lane = self.env.add_timer_lane(self._times, self._fire)
-
-    def _fire(self, index: int) -> None:
-        """Timer-lane callback: one arrival."""
         if not self._running:
-            return
-        self._issue(index)
-        if index == self._last_index:
-            if self._finished:
-                self._running = False
-                self._lane = None
-            else:
-                self._begin_batch()
-
-    def _run(self):
-        """Fallback without the timer lane: one process, batched draws.
-
-        Still amortizes all randomness and construction over the batch;
-        only the scheduling is per-arrival heap events.
-        """
-        env = self.env
-        while self._running:
-            n = self._load_batch()
-            if n == 0:
-                self._running = False
-                return
-            for index in range(n):
-                gap = self._times[index] - env.now
-                yield env.timeout(gap if gap > 0 else 0.0)
-                if not self._running:
-                    return
-                self._issue(index)
-            if self._finished:
-                self._running = False
-                return
+            return  # the issuer stopped the load
+        index += 1
+        if index < len(self._times):
+            self._index = index
+            self._timer = self._arm(self._times[index], self._fire)
+        else:
+            self._next_batch()

@@ -1,11 +1,9 @@
-"""The batched aggregate load engine vs the per-client reference.
+"""The batched aggregate load engine.
 
-The exactness contract: ``AggregateLoad`` in ``exact`` mode replays
-the per-client stream draw for draw, so a whole experiment produces
-**identical** per-transaction records whether the load was generated
-per arrival or per batch, on the timer lane or on heap events.
-Vectorized mode has its own (numpy) sample path and is pinned for
-determinism instead.
+``AggregateLoad`` draws its own (numpy) sample path, so it is pinned
+for determinism: literal digests of a whole experiment and of a
+large-N run, plus the scheduling contract that every arrival is issued
+at exactly its drawn time, in order, on a plain-float clock.
 """
 
 import dataclasses
@@ -20,7 +18,6 @@ from repro.workload import (
     AggregateLoad,
     BuyTransactionFactory,
     HotspotAccess,
-    OpenSystemLoad,
     UniformAccess,
     ZipfianAccess,
 )
@@ -44,66 +41,15 @@ def _run(seed=3, **overrides):
 
 
 class _Recorder:
-    """Issuer capturing (time, keys, hot) triples for direct parity."""
+    """Issuer capturing (time, keys, hot) triples."""
 
     def __init__(self, env):
         self.env = env
         self.calls = []
-        self.reads = []
 
     def issue(self, writes, touches_hotspot):
         self.calls.append(
             (self.env.now, tuple(op.key for op in writes), touches_hotspot))
-
-    def issue_read(self, keys):
-        self.reads.append((self.env.now, tuple(keys)))
-
-
-def _drive(load_cls, seed=11, duration_ms=4_000.0, read_fraction=0.0,
-           **kwargs):
-    env = Environment()
-    streams = RandomStreams(seed=seed)
-    factory = BuyTransactionFactory(HotspotAccess(200, 20, hot_prob=0.8))
-    issuer = _Recorder(env)
-    load = load_cls(env, factory, issuer, 300.0, streams,
-                    read_fraction=read_fraction, **kwargs)
-    load.start(duration_ms=duration_ms)
-    env.run(until=duration_ms)
-    return issuer, load
-
-
-# -- exact mode: digest identity with the per-client path ----------------
-
-def test_exact_mode_issues_identically_to_per_client():
-    reference, _ = _drive(OpenSystemLoad)
-    for batch_size in (1, 7, 256):
-        batched, _ = _drive(AggregateLoad, mode="exact",
-                            batch_size=batch_size)
-        assert batched.calls == reference.calls, f"batch={batch_size}"
-
-
-def test_exact_mode_without_lane_matches_too():
-    reference, _ = _drive(OpenSystemLoad)
-    batched, _ = _drive(AggregateLoad, mode="exact", use_timer_lane=False)
-    assert batched.calls == reference.calls
-
-
-def test_exact_mode_read_fraction_parity():
-    reference, _ = _drive(OpenSystemLoad, read_fraction=0.3)
-    batched, _ = _drive(AggregateLoad, mode="exact", read_fraction=0.3,
-                        batch_size=64)
-    assert batched.calls == reference.calls
-    assert batched.reads == reference.reads
-
-
-def test_exact_mode_experiment_digest_identity():
-    """Whole-experiment pin at small N: per-client vs aggregate-exact,
-    lane on and off, must produce byte-identical records."""
-    reference = _result_digest(_run())
-    for overrides in ({"load_engine": "aggregate"},
-                      {"load_engine": "aggregate", "load_timer_lane": False},
-                      {"load_engine": "aggregate", "load_batch_size": 13}):
-        assert _result_digest(_run(**overrides)) == reference, overrides
 
 
 def test_default_engine_unchanged():
@@ -111,7 +57,7 @@ def test_default_engine_unchanged():
     assert config.load_engine == "per-client"
 
 
-# -- vectorized mode: determinism at large N -----------------------------
+# -- determinism and scheduling ---------------------------------------------
 
 def test_vectorized_mode_deterministic_at_large_n():
     def run_once():
@@ -120,8 +66,7 @@ def test_vectorized_mode_deterministic_at_large_n():
         factory = BuyTransactionFactory(ZipfianAccess(10_000, s=0.99))
         issuer = _Recorder(env)
         load = AggregateLoad(env, factory, issuer, 5_000.0, streams,
-                             mode="vectorized", batch_size=2_048,
-                             population=100_000)
+                             batch_size=2_048, population=100_000)
         load.start(duration_ms=10_000.0)
         env.run(until=10_000.0)
         hasher = hashlib.sha256()
@@ -131,22 +76,61 @@ def test_vectorized_mode_deterministic_at_large_n():
 
     first = run_once()
     assert first == run_once()
-    count, clients, _digest = first
     # ~5k tx/s for 10 simulated seconds, all attributed to users.
-    assert 45_000 < count < 55_000
-    assert 0 < clients <= 100_000
-
-
-def test_vectorized_lane_and_heap_paths_identical():
-    lane, _ = _drive(AggregateLoad, mode="vectorized")
-    heap, _ = _drive(AggregateLoad, mode="vectorized", use_timer_lane=False)
-    assert lane.calls == heap.calls
+    assert first == (
+        50_258, 39_539,
+        "8645152a2597fa85788033803110a76902cee181bcdf3df53e7989cb74dc979d")
 
 
 def test_vectorized_experiment_deterministic():
     one = _result_digest(_run(load_engine="aggregate-vectorized"))
     two = _result_digest(_run(load_engine="aggregate-vectorized"))
-    assert one == two
+    assert one == two == (
+        "1aee431eb7e9af1a71ccb34d89a44ff21bed7b207f4c2a220f295198010176d4")
+
+
+def test_arrivals_issued_at_their_drawn_times():
+    """Every arrival fires at exactly its drawn time, in draw order,
+    as its drawn kind (read or write), across batch boundaries and run
+    windows, on a plain-float clock."""
+    env = Environment()
+    streams = RandomStreams(seed=13)
+    factory = BuyTransactionFactory(HotspotAccess(200, 20, hot_prob=0.8))
+    issued = []
+
+    class Issuer:
+        def issue(self, writes, touches_hotspot):
+            issued.append((env.now, type(env.now), False))
+
+        def issue_read(self, keys):
+            issued.append((env.now, type(env.now), True))
+
+    load = AggregateLoad(env, factory, Issuer(), 300.0, streams,
+                         read_fraction=0.3, batch_size=7)
+    drawn = []
+    load_batch = load._load_batch
+
+    def recording_load_batch():
+        n = load_batch()
+        if n:
+            drawn.extend(zip(load._times, load._reads.tolist()))
+        return n
+
+    load._load_batch = recording_load_batch
+    load.start(duration_ms=2_000.0)
+    env.run(until=900.0)
+    env.run(until=2_000.0)
+    assert len(drawn) > 7 * 50  # many batch boundaries crossed
+    assert [(when, read) for when, _type, read in issued] == drawn
+    assert drawn == sorted(drawn)
+    assert all(kind is float for _when, kind, _read in issued)
+    assert load.reads_issued == sum(read for _when, read in drawn) > 0
+    assert load.issued + load.reads_issued == len(drawn)
+
+
+def test_population_requires_the_aggregate_engine():
+    with pytest.raises(ValueError, match="load_population"):
+        _run(load_population=100)
 
 
 def test_stop_cancels_pending_batch():
@@ -173,8 +157,6 @@ def test_validation():
     streams = RandomStreams(seed=1)
     factory = BuyTransactionFactory(UniformAccess(50))
     issuer = _Recorder(env)
-    with pytest.raises(ValueError):
-        AggregateLoad(env, factory, issuer, 100.0, streams, mode="psychic")
     with pytest.raises(ValueError):
         AggregateLoad(env, factory, issuer, 100.0, streams, batch_size=0)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PlanetSession
-from repro.harness.monitoring import ClusterSnapshot, HealthMonitor, snapshot
+from repro.obs.monitor import ClusterSnapshot, HealthMonitor, snapshot
 from repro.mdcc import Cluster
 from repro.net import uniform_topology
 from repro.sim import Environment, RandomStreams

@@ -1,12 +1,12 @@
-"""Kernel timer wheel: ordering vs heap and lanes, cancellation, RPC.
+"""Kernel timer wheel: ordering vs the heap, cancellation, RPC.
 
 The contract under test (see :class:`repro.sim.TimerWheel`): wheel
-timers fire interleaved with heap events and lane entries in timestamp
-order; at exactly equal timestamps the heap wins, then lanes, then the
-wheel; a ``run(until=t)`` boundary stops before a wheel timer at
-exactly ``t``; cancelled timers never fire, never schedule anything,
-and never keep ``run()`` alive; and the RPC reply path cancels the
-deadline so a call answered in time touches the heap zero extra times.
+timers fire interleaved with heap events in timestamp order; at
+exactly equal timestamps the heap wins; a ``run(until=t)`` boundary
+stops before a wheel timer at exactly ``t``; cancelled timers never
+fire, never schedule anything, and never keep ``run()`` alive; and
+the RPC reply path cancels the deadline so a call answered in time
+touches the heap zero extra times.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.net import RpcEndpoint, RpcTimeout, Transport, uniform_topology
 from repro.sim import Environment, RandomStreams, TimerWheel
 
 
-# -- ordering vs the heap and lanes -----------------------------------------
+# -- ordering vs the heap -----------------------------------------
 
 def test_wheel_interleaves_with_heap_events():
     env = Environment()
@@ -36,7 +36,7 @@ def test_wheel_interleaves_with_heap_events():
     assert env.now == 3.0
 
 
-def test_heap_and_lane_win_exact_timestamp_ties():
+def test_heap_wins_exact_timestamp_ties():
     env = Environment()
     order = []
 
@@ -45,10 +45,9 @@ def test_heap_and_lane_win_exact_timestamp_ties():
         order.append("heap")
 
     env.process(proc(env))
-    env.add_timer_lane([5.0], lambda i: order.append("lane"))
     env.arm_timer(5.0, lambda: order.append("wheel"))
     env.run()
-    assert order == ["heap", "lane", "wheel"]
+    assert order == ["heap", "wheel"]
 
 
 def test_same_deadline_timers_fire_in_arm_order():
@@ -62,7 +61,7 @@ def test_same_deadline_timers_fire_in_arm_order():
 
 def test_until_boundary_stops_before_wheel_timer():
     """A timer at exactly ``until`` must NOT fire — the urgent stop
-    event wins the tie, matching Timeout and lane semantics — and it
+    event wins the tie, matching Timeout semantics — and it
     survives into the next run window."""
     env = Environment()
     fired = []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PlanetSession
-from repro.harness.tracing import TransactionTrace, TransactionTracer
+from repro.obs.txtrace import TransactionTrace, TransactionTracer
 from repro.mdcc import Cluster
 from repro.net import uniform_topology
 from repro.sim import Environment, RandomStreams

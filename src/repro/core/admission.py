@@ -12,6 +12,11 @@ everyone else.  Two policies from the paper:
 
 Thresholds and rates are expressed in **percent** to match the paper's
 notation (``Fixed(40, 20)``, ``Dynamic(50)``).
+
+The likelihoods come from
+:class:`~repro.core.likelihood.CommitLikelihoodModel`, which answers
+repeated admission queries from :class:`LikelihoodMemo`, an LRU keyed
+on the exact inputs of each eq. 8b integral.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class LikelihoodMemo:
@@ -31,36 +36,20 @@ class LikelihoodMemo:
     *w* is usually a per-workload constant, and hot records share
     arrival-rate buckets.  This cache sits in front of
     :meth:`~repro.core.likelihood.CommitLikelihoodModel.record_likelihood`
-    and keys on ``(client_dc, leader_dc, rate, w)``.
+    and keys on the exact ``(client_dc, leader_dc, rate, w)`` inputs,
+    so a hit returns the bit-identical value a fresh evaluation would
+    have produced and memoization never changes an admission decision.
 
-    **Exact by default.**  With ``rate_quantum``/``w_quantum`` unset,
-    keys are the raw float inputs: a hit returns the bit-identical
-    value a fresh evaluation would have produced, so memoization never
-    changes an admission decision.  Setting a quantum trades exactness
-    for hit rate: inputs are snapped to the quantization grid and the
-    integral is evaluated *at the snapped values*, keeping the cache
-    coherent (one key, one value — never a stale neighbour's value).
-
-    The likelihood model invalidates per cell when a rebuild changes
-    that cell's conflict-window PMF, so entries never outlive the
-    matrix they were computed from.
+    The likelihood model clears it on every rebuild, so entries never
+    outlive the matrix they were computed from.
     """
 
-    __slots__ = ("capacity", "rate_quantum", "w_quantum", "hits",
-                 "misses", "_entries")
+    __slots__ = ("capacity", "hits", "misses", "_entries")
 
-    def __init__(self, capacity: int = 4096,
-                 rate_quantum: Optional[float] = None,
-                 w_quantum: Optional[float] = None):
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if rate_quantum is not None and rate_quantum <= 0:
-            raise ValueError("rate quantum must be positive")
-        if w_quantum is not None and w_quantum <= 0:
-            raise ValueError("w quantum must be positive")
         self.capacity = int(capacity)
-        self.rate_quantum = rate_quantum
-        self.w_quantum = w_quantum
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[tuple, float]" = OrderedDict()
@@ -68,25 +57,9 @@ class LikelihoodMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def evaluation_point(self, rate: float,
-                         w_ms: float) -> Tuple[float, float]:
-        """The (rate, w) the integral is evaluated at for these inputs.
-
-        The identity map unless quantization is enabled; snapped
-        values are also the cache key, so cached and computed results
-        always agree.
-        """
-        if self.rate_quantum is not None and rate > 0.0:
-            rate = max(round(rate / self.rate_quantum), 1) \
-                * self.rate_quantum
-        if self.w_quantum is not None and w_ms > 0.0:
-            w_ms = round(w_ms / self.w_quantum) * self.w_quantum
-        return rate, w_ms
-
     def lookup(self, client_dc: int, leader_dc: int, rate: float,
                w_ms: float) -> Tuple[tuple, Optional[float]]:
         """``(key, cached value or None)`` for one evaluation."""
-        rate, w_ms = self.evaluation_point(rate, w_ms)
         key = (client_dc, leader_dc, rate, w_ms)
         value = self._entries.get(key)
         if value is None:
@@ -101,17 +74,6 @@ class LikelihoodMemo:
         entries[key] = value
         if len(entries) > self.capacity:
             entries.popitem(last=False)
-
-    def invalidate_cells(
-            self, cells: Iterable[Tuple[int, int]]) -> int:
-        """Drop entries whose (client_dc, leader_dc) cell was rebuilt."""
-        cells = set(cells)
-        if not cells:
-            return 0
-        stale = [key for key in self._entries if key[:2] in cells]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -223,14 +223,15 @@ class ClientStatsAgent(ModelSource):
 
     def build_model(self, leader_distribution: Optional[List[float]] = None,
                     fallback: Optional[Topology] = None,
-                    incremental: bool = False) -> CommitLikelihoodModel:
+                    collision_probability: float = 0.0,
+                    ) -> CommitLikelihoodModel:
         """This client's likelihood model from its current view.
 
-        ``incremental=True`` patches the model a previous call built
-        (see :meth:`~repro.core.statistics.ModelSource._maintain_model`).
+        The first call builds cold; later calls patch that model (see
+        :meth:`~repro.core.statistics.ModelSource._maintain_model`).
         """
         return self._maintain_model(leader_distribution, None, fallback,
-                                    None, incremental)
+                                    None, collision_probability)
 
 
 class DisseminationService:

@@ -21,23 +21,15 @@ exact defaults:
   support (index past the last nonzero bin), and its real-FFT spectra
   (keyed by transform size).  Caches hold values that are *identical*
   to what the uncached code computed, so they are always on.
-* **FFT convolution** — :meth:`Pmf.convolve` switches from the exact
-  ``np.convolve`` path to an FFT product when the full convolution
-  size reaches :data:`FFT_MIN_SIZE` (or when asked explicitly with
-  ``method="fft"``).  The default cutoff is above the default bin
-  count, so results that feed admission decisions take the exact path
-  unless a caller opts in; the property suite pins the FFT path to the
-  exact one within 1e-12 (measured error is ~1e-17 for probability
-  vectors).
-* **trusted construction** — the CDF-domain operations
+* **fast-path-only operations** — ``convolve(method="fft")`` (a
+  spectral product over cached spectra), :meth:`Pmf.convolution_mixture`,
+  and ``renormalize=False`` on the CDF-domain operations
   (:meth:`quorum_of`, :meth:`iid_max`, :meth:`max_of`,
-  :meth:`mixture`) accept ``renormalize=False`` to skip the final
-  re-normalizing division when the caller knows the mass already sums
-  to one (their outputs are differences of a clipped CDF ending at
-  exactly 1.0, or convex combinations of normalized PMFs).
-* **tail truncation** — :meth:`Pmf.truncate` folds a negligible tail
-  (``epsilon`` of mass) into the last kept bin.  The default epsilon
-  everywhere is 0.0, which is a no-op: exact by default.
+  :meth:`mixture`), which skips the final re-normalizing division
+  when the caller knows the mass already sums to one.  Only the
+  incremental model refresh uses them; the property suite pins them
+  to the exact path within 1e-12 (measured error is ~1e-17).  Every
+  default is the exact path.
 
 The naive implementations are preserved verbatim as module-level
 ``_reference_*`` functions; the property tests compare every fast path
@@ -50,13 +42,6 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-
-#: Full-size threshold at which ``convolve(method="auto")`` switches
-#: to FFT convolution.  ``4096`` keeps every convolution at the
-#: default resolution (1024 bins -> full size 2047) on the exact
-#: ``np.convolve`` path; callers with larger histograms, or fast-path
-#: callers passing ``method="fft"``, get the O(n log n) product.
-FFT_MIN_SIZE = 4096
 
 #: Trailing probability mass the FFT path may ignore when sizing its
 #: transforms.  CDF-domain operations force saturation by pinning the
@@ -228,19 +213,14 @@ class Pmf:
         if abs(other.bin_ms - self.bin_ms) > 1e-9:
             raise ValueError("mismatched bin widths")
 
-    def convolve(self, other: "Pmf", method: str = "auto") -> "Pmf":
+    def convolve(self, other: "Pmf", method: str = "direct") -> "Pmf":
         """Distribution of the sum of two independent delays (eq. 1).
 
         ``method`` selects the algorithm: ``"direct"`` is the exact
         ``np.convolve`` path, ``"fft"`` the spectral product (identical
-        saturation semantics, ~1e-17 rounding difference), ``"auto"``
-        picks FFT once the full convolution size reaches
-        :data:`FFT_MIN_SIZE`.
+        saturation semantics, ~1e-17 rounding difference).
         """
         self._check_compatible(other)
-        if method == "auto":
-            full_size = self.n_bins + other.n_bins - 1
-            method = "fft" if full_size >= FFT_MIN_SIZE else "direct"
         if method == "direct":
             return _reference_convolve(self, other)
         if method != "fft":
@@ -290,28 +270,6 @@ class Pmf:
         indices = np.minimum(centers.astype(int), self.n_bins - 1)
         probs = np.zeros_like(self.probs)
         np.add.at(probs, indices, self.probs)
-        return Pmf(probs, self.bin_ms)
-
-    def truncate(self, epsilon: float) -> "Pmf":
-        """Fold a negligible tail into the last kept bin.
-
-        Returns a PMF whose trailing bins holding at most ``epsilon``
-        total mass are removed, with that mass saturated into the new
-        last bin — the same conservative direction as the range
-        saturation.  ``epsilon <= 0`` is exact and returns ``self``
-        unchanged (the default throughout the likelihood engine).
-        """
-        if epsilon <= 0.0:
-            return self
-        # tail[i] = mass at bins i..end; keep the shortest prefix whose
-        # dropped tail holds at most epsilon.
-        tail = np.cumsum(self.probs[::-1])[::-1]
-        keep = int(np.searchsorted(-tail, -epsilon, side="left"))
-        keep = max(1, min(keep, self.n_bins))
-        if keep >= self.n_bins:
-            return self
-        probs = self.probs[:keep].copy()
-        probs[-1] += self.probs[keep:].sum()
         return Pmf(probs, self.bin_ms)
 
     @staticmethod

@@ -25,43 +25,43 @@ first read after :meth:`CommitLikelihoodModel.precompute`.
 Per-transaction evaluation is then a lookup plus one dot product per
 record.
 
-Fast paths
-----------
-Model maintenance and evaluation each carry an accelerated layer on
-top of the exact defaults:
+One engine, two op sets
+-----------------------
+The shared dependency chain ``rtt → q_leader → q_to_client → mixed →
+u`` (eqs. 2–4, plus the classic-majority waits of the fast-ballot
+collision branch) is written once, in ``_rebuild``, and run with one
+of two sets of PMF operations:
 
-* :meth:`CommitLikelihoodModel.precompute` is the exact **reference
-  rebuild** of the shared dependency chain ``rtt → q_leader →
-  q_to_client → mixed → u``, all retained.
-* **Rows on demand.** A session only ever reads its own client row,
-  so the per-client tail of the chain — ``visible[cc]`` and the
-  ``phi[(cc, ·)]`` cells — is built the first time a cell of row
-  ``cc`` is read, with the ops of whichever build last dirtied it:
-  the reference ops after :meth:`precompute`, the refresh's fast ops
-  after :meth:`refresh`.  Every cell is bit-identical to what an
-  eager build of the whole matrix produces.
-* :meth:`CommitLikelihoodModel.refresh` is the **incremental
-  rebuild**: given the set of (src, dst) RTT pairs that actually
-  changed since the last build, it recomputes only the dirty nodes of
-  the shared chain, using the FFT convolution path with per-PMF cached
-  spectra and the ``renormalize=False`` CDF-domain operations (pinned
-  to the exact reference within 1e-12 by the property suite), and
-  drops the rows they dirty.  It returns the set of changed
-  ``(client_dc, leader_dc)`` matrix cells.
-* :meth:`CommitLikelihoodModel.record_likelihood` consults a
-  :class:`~repro.core.admission.LikelihoodMemo` keyed on
-  ``(client_dc, leader_dc, rate, w)``.  With the default exact keys a
-  hit is bit-identical to a fresh evaluation; ``rate_quantum`` /
-  ``w_quantum`` trade exactness for hit rate.  The memo is cleared on
-  :meth:`precompute` and invalidated per cell on :meth:`refresh`.
-* :meth:`CommitLikelihoodModel.transaction_likelihood` batches the
-  eq. 8b integrals of all memo-missing records into one ``np.exp``
-  call (element-wise, so still bit-identical to the scalar loop).
+* :meth:`CommitLikelihoodModel.precompute` rebuilds every node with
+  the **reference ops** — the exact defaults of
+  :mod:`repro.core.histograms`.
+* :meth:`CommitLikelihoodModel.refresh` takes the set of (src, dst)
+  RTT pairs and priors that changed since the last build and rebuilds
+  only the nodes they dirty, with the **fast ops**: FFT convolution
+  over per-PMF cached spectra and the ``renormalize=False``
+  CDF-domain operations, pinned to the reference within 1e-12 by the
+  property suite.  It returns the set of changed ``(client_dc,
+  leader_dc)`` matrix cells.
+
+**Rows on demand.**  A session only ever reads its own client row, so
+the per-client tail of the chain — ``visible[cc]`` and the
+``phi[(cc, ·)]`` cells — is built the first time a cell of row ``cc``
+is read, with the op set of whichever build last dirtied it.  Every
+cell is bit-identical to what an eager build of the whole matrix with
+the same ops produces.
+
+:meth:`CommitLikelihoodModel.record_likelihood` consults a
+:class:`~repro.core.admission.LikelihoodMemo` keyed on the exact
+``(client_dc, leader_dc, rate, w)`` inputs, so a hit is bit-identical
+to a fresh evaluation; every rebuild clears it.
+:meth:`CommitLikelihoodModel.transaction_likelihood` batches the
+eq. 8b integrals of all memo-missing records into one ``np.exp`` call
+(element-wise, so still bit-identical to the scalar loop).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -152,18 +152,6 @@ class CommitLikelihoodModel:
     max_size:
         Truncation for the size marginalization (sizes above it are
         folded into the largest bucket).
-    memo_capacity:
-        Entries of the admission-time likelihood LRU; ``0`` disables
-        memoization entirely.
-    rate_quantum / w_quantum:
-        Optional memo-key quantization steps (see
-        :class:`~repro.core.admission.LikelihoodMemo`).  ``None`` — the
-        default — keys on the exact inputs, so memoized results are
-        bit-identical to unmemoized ones.
-    truncate_epsilon:
-        Tail mass the *incremental* refresh may fold into the last
-        kept bin of each intermediate PMF.  ``0.0`` (default) is
-        exact; the reference :meth:`precompute` never truncates.
     mode:
         ``"classic"`` (default) evaluates the paper's chain verbatim.
         ``"fast"`` models MDCC fast ballots: the phase-2 order
@@ -186,10 +174,6 @@ class CommitLikelihoodModel:
                  client_distribution: Optional[Sequence[float]] = None,
                  size_distribution: Optional[Dict[int, float]] = None,
                  quorum: Optional[int] = None, max_size: int = 8,
-                 memo_capacity: int = 4096,
-                 rate_quantum: Optional[float] = None,
-                 w_quantum: Optional[float] = None,
-                 truncate_epsilon: float = 0.0,
                  mode: str = "classic",
                  fast_quorum: Optional[int] = None,
                  collision_probability: float = 0.0):
@@ -230,13 +214,7 @@ class CommitLikelihoodModel:
         #: otherwise.  Classic numerics are untouched.
         self._phase2_quorum = (self.fast_quorum if mode == "fast"
                                else self.quorum)
-        if truncate_epsilon < 0:
-            raise ValueError("truncate_epsilon must be >= 0")
-        self.truncate_epsilon = float(truncate_epsilon)
-        self.memo: Optional[LikelihoodMemo] = (
-            LikelihoodMemo(memo_capacity, rate_quantum=rate_quantum,
-                           w_quantum=w_quantum)
-            if memo_capacity > 0 else None)
+        self.memo = LikelihoodMemo()
         # Every node of the shared §5.2.4 chain is retained so refresh()
         # can rebuild only what a statistics rotation actually dirtied.
         self._q_leader: Dict[int, Pmf] = {}
@@ -245,7 +223,7 @@ class CommitLikelihoodModel:
         self._mixed: Dict[int, Pmf] = {}
         self._u: Dict[int, Pmf] = {}
         # Built cells, plus the client rows still to build on first read
-        # (True: with refresh()'s fast ops, False: with the reference ops).
+        # (True: with the reference ops, False: with refresh()'s fast ops).
         self._phi: Optional[Dict[Cell, Pmf]] = None
         self._stale_rows: Dict[int, bool] = {}
         #: Client rows built so far (a deterministic work counter).
@@ -283,84 +261,10 @@ class CommitLikelihoodModel:
         """Build the shared chain of the N x N conflict-window matrix.
 
         The exact reference rebuild: every shared node recomputed with
-        the default (exact) PMF operations, every client row left to be
-        built with the same ops on first read.  Clears the likelihood
-        memo — every cell may have moved.
+        the reference PMF operations, every client row left to be built
+        with the same ops on first read.
         """
-        n = self.latency.n
-        # eq. 2: quorum wait at each possible leader location (the
-        # ⌈3N/4⌉ fast quorum under fast ballots).
-        self._q_leader = {
-            l: Pmf.quorum_of([self.latency.rtt(l, b) for b in range(n)],
-                             self._phase2_quorum)
-            for l in range(n)
-        }
-        # eq. 3: + learned message back to the previous client.
-        self._q_to_client = {
-            (l, cp): self._q_leader[l].convolve(self.latency.one_way(l, cp))
-            for l in range(n) for cp in range(n)
-        }
-        # eq. 4 marginalized over leader locations and sizes: for a
-        # previous transaction of size tau with i.i.d. leaders, the max
-        # of tau draws from the leader-mixture distribution.
-        for cp in range(n):
-            mixed = Pmf.mixture(
-                [self._q_to_client[(l, cp)] for l in range(n)],
-                self.leader_dist)
-            self._mixed[cp] = mixed
-            self._u[cp] = Pmf.mixture(
-                [mixed.iid_max(tau) for tau in self.size_dist],
-                list(self.size_dist.values()))
-        # Fast-ballot collision recovery pays a classic-majority round.
-        if self.mode == "fast" and self.collision_probability > 0.0:
-            self._q_classic = {
-                l: Pmf.quorum_of(
-                    [self.latency.rtt(l, b) for b in range(n)], self.quorum)
-                for l in range(n)
-            }
-        self._phi = {}
-        self._stale_rows = dict.fromkeys(range(n), False)
-        if self.memo is not None:
-            self.memo.clear()
-
-    def _build_row(self, cc: int) -> None:
-        """Build client row ``cc``: ``visible[cc]`` and its ``phi`` cells."""
-        fast = self._stale_rows.pop(cc)
-        n = self.latency.n
-        one_way = self.latency.one_way
-        eps = self.truncate_epsilon
-        # eq. 4 tail + eq. 6 marginalization over cp: add the commit-
-        # visibility delay cp -> cc and mix over the client prior.
-        if fast:
-            # Commuting operations, fused into one spectral pass.
-            visible = Pmf.convolution_mixture(
-                [(self._u[cp], one_way(cp, cc)) for cp in range(n)],
-                self.client_dist).truncate(eps)
-        else:
-            visible = Pmf.mixture(
-                [self._u[cp].convolve(one_way(cp, cc)) for cp in range(n)],
-                self.client_dist)
-        # eq. 8a: + propose delay from the current client to the leader.
-        for l in range(n):
-            if fast:
-                phi = visible.convolve(one_way(cc, l),
-                                       method="fft").truncate(eps)
-            else:
-                phi = visible.convolve(one_way(cc, l))
-            # Fast-ballot extension: with probability p the round
-            # collides and additionally pays the classic recovery — a
-            # fallback propose to the record master plus a classic-
-            # majority round there — so the cell's window becomes the
-            # (1-p, p) mixture of the direct and the recovery-extended
-            # chain.  (refresh() rebuilds such models exactly, so this
-            # branch only ever runs on reference-op rows.)
-            if self.mode == "fast" and self.collision_probability > 0.0:
-                p = self.collision_probability
-                recovery = one_way(cc, l).convolve(self._q_classic[l])
-                phi = Pmf.mixture([phi, phi.convolve(recovery)],
-                                  [1.0 - p, p])
-            self._phi[(cc, l)] = phi
-        self.rows_built += 1
+        self._rebuild(range(self.latency.n), True, True, exact=True)
 
     def refresh(self, rtt_updates: Optional[Dict[Tuple[int, int],
                                                  Pmf]] = None,
@@ -373,44 +277,36 @@ class CommitLikelihoodModel:
         ``rtt_updates`` maps directed (src, dst) pairs to their new RTT
         PMFs; the distribution arguments replace the respective priors
         when given (``None`` means unchanged).  Only the dirty nodes of
-        the shared chain are recomputed — on the accelerated path (FFT
-        convolution with cached spectra, CDF-domain operations without
-        the final re-normalizing division, optional tail truncation) —
-        and the dirty client rows are dropped, to be rebuilt with the
-        same fast ops on first read.  Property tests pin the result to
-        a fresh :meth:`precompute` within 1e-12.
+        the shared chain are recomputed, with the fast ops, and the
+        dirty client rows are dropped, to be rebuilt with the same fast
+        ops on first read.  Property tests pin the result to a fresh
+        :meth:`precompute` within 1e-12.
 
-        Returns the set of changed ``(client_dc, leader_dc)`` cells and
-        invalidates exactly those cells in the likelihood memo.  Falls
-        back to the full reference rebuild when no matrix exists yet.
+        Returns the set of changed ``(client_dc, leader_dc)`` cells.
+        Falls back to the full reference rebuild when no matrix exists
+        yet.
         """
         n = self.latency.n
         dirty_pairs: Set[Tuple[int, int]] = set()
-        if rtt_updates:
-            for (a, b), pmf in rtt_updates.items():
-                self.latency.update_rtt(a, b, pmf)
-                dirty_pairs.add((a, b))
-        leaders_changed = False
+        for (a, b), pmf in (rtt_updates or {}).items():
+            self.latency.update_rtt(a, b, pmf)
+            dirty_pairs.add((a, b))
+        leaders_changed = clients_changed = sizes_changed = False
         if leader_distribution is not None:
             new_leaders = self._normalize_weights(
                 leader_distribution, n, "leader")
-            if new_leaders != self.leader_dist:
-                self.leader_dist = new_leaders
-                leaders_changed = True
-        clients_changed = False
+            leaders_changed = new_leaders != self.leader_dist
+            self.leader_dist = new_leaders
         if client_distribution is not None:
             new_clients = self._normalize_weights(
                 client_distribution, n, "client")
-            if new_clients != self.client_dist:
-                self.client_dist = new_clients
-                clients_changed = True
-        sizes_changed = False
+            clients_changed = new_clients != self.client_dist
+            self.client_dist = new_clients
         if size_distribution is not None:
             new_sizes = self._normalize_sizes(size_distribution,
                                               self.max_size)
-            if new_sizes != self.size_dist:
-                self.size_dist = new_sizes
-                sizes_changed = True
+            sizes_changed = new_sizes != self.size_dist
+            self.size_dist = new_sizes
 
         all_cells = {(cc, l) for cc in range(n) for l in range(n)}
         if self._phi is None:
@@ -426,40 +322,98 @@ class CommitLikelihoodModel:
             # the whole matrix anyway — take the exact rebuild.
             self.precompute()
             return all_cells
-
-        eps = self.truncate_epsilon
-        latency = self.latency
-        # eq. 2 + eq. 3: a changed (l, b) RTT moves leader l's quorum
-        # wait and with it every (l, cp) learned-message node.
-        dirty_leaders = sorted({a for (a, b) in dirty_pairs})
-        for l in dirty_leaders:
-            self._q_leader[l] = Pmf.quorum_of(
-                [latency.rtt(l, b) for b in range(n)], self._phase2_quorum,
-                renormalize=False).truncate(eps)
-            for cp in range(n):
-                self._q_to_client[(l, cp)] = self._q_leader[l].convolve(
-                    latency.one_way(l, cp), method="fft").truncate(eps)
-        # eq. 4 + size marginalization: every mixture spans all leaders,
-        # so any dirty leader dirties every column.
-        for cp in range(n):
-            if dirty_leaders or leaders_changed:
-                self._mixed[cp] = Pmf.mixture(
-                    [self._q_to_client[(l, cp)] for l in range(n)],
-                    self.leader_dist, renormalize=False)
-            if dirty_leaders or leaders_changed or sizes_changed:
-                mixed = self._mixed[cp]
-                self._u[cp] = Pmf.mixture(
-                    [mixed.iid_max(tau, renormalize=False)
-                     for tau in self.size_dist],
-                    list(self.size_dist.values()),
-                    renormalize=False).truncate(eps)
         # eq. 6 mixes every u (and the client prior) into every client
         # row, so whatever changed dirtied every row and every cell.
-        self._phi = {}
-        self._stale_rows = dict.fromkeys(range(n), True)
-        if self.memo is not None:
-            self.memo.invalidate_cells(all_cells)
+        self._rebuild(sorted({a for (a, b) in dirty_pairs}),
+                      leaders_changed, sizes_changed, exact=False)
         return all_cells
+
+    def _rebuild(self, leaders: Iterable[int], leader_prior: bool,
+                 size_prior: bool, exact: bool) -> None:
+        """Rebuild the shared chain's dirty nodes (eqs. 2–4).
+
+        ``leaders`` are the leader locations with a moved RTT;
+        ``leader_prior`` / ``size_prior`` say whether those priors
+        changed.  ``exact`` selects the reference ops (``precompute``)
+        or the fast ops (``refresh``: FFT convolution and CDF-domain
+        operations without the re-normalizing division).  Every client
+        row is dropped, to be built with the same ops on first read,
+        and the likelihood memo is cleared.
+        """
+        n = self.latency.n
+        latency = self.latency
+        method = "direct" if exact else "fft"
+        collision = self.mode == "fast" and self.collision_probability > 0.0
+        leaders = list(leaders)
+        for l in leaders:
+            rtts = [latency.rtt(l, b) for b in range(n)]
+            # eq. 2: quorum wait at leader l (the ⌈3N/4⌉ fast quorum
+            # under fast ballots) ...
+            q = Pmf.quorum_of(rtts, self._phase2_quorum, renormalize=exact)
+            self._q_leader[l] = q
+            # eq. 3: ... + learned message back to the previous client.
+            for cp in range(n):
+                self._q_to_client[(l, cp)] = q.convolve(
+                    latency.one_way(l, cp), method=method)
+            # Fast-ballot collision recovery pays a classic-majority round.
+            if collision:
+                self._q_classic[l] = Pmf.quorum_of(rtts, self.quorum,
+                                                   renormalize=exact)
+        # eq. 4 marginalized over leader locations and sizes: for a
+        # previous transaction of size tau with i.i.d. leaders, the max
+        # of tau draws from the leader-mixture distribution.  Every
+        # mixture spans all leaders, so any dirty leader dirties every
+        # column.
+        leader_prior = leader_prior or bool(leaders)
+        for cp in range(n):
+            if leader_prior:
+                self._mixed[cp] = Pmf.mixture(
+                    [self._q_to_client[(l, cp)] for l in range(n)],
+                    self.leader_dist, renormalize=exact)
+            if leader_prior or size_prior:
+                mixed = self._mixed[cp]
+                self._u[cp] = Pmf.mixture(
+                    [mixed.iid_max(tau, renormalize=exact)
+                     for tau in self.size_dist],
+                    list(self.size_dist.values()), renormalize=exact)
+        self._phi = {}
+        self._stale_rows = dict.fromkeys(range(n), exact)
+        self.memo.clear()
+
+    def _build_row(self, cc: int) -> None:
+        """Build client row ``cc``: ``visible[cc]`` and its ``phi`` cells."""
+        exact = self._stale_rows.pop(cc)
+        n = self.latency.n
+        one_way = self.latency.one_way
+        # eq. 4 tail + eq. 6 marginalization over cp: add the commit-
+        # visibility delay cp -> cc and mix over the client prior.
+        if exact:
+            visible = Pmf.mixture(
+                [self._u[cp].convolve(one_way(cp, cc)) for cp in range(n)],
+                self.client_dist)
+        else:
+            # Commuting operations, fused into one spectral pass.
+            visible = Pmf.convolution_mixture(
+                [(self._u[cp], one_way(cp, cc)) for cp in range(n)],
+                self.client_dist)
+        # eq. 8a: + propose delay from the current client to the leader.
+        for l in range(n):
+            phi = visible.convolve(one_way(cc, l),
+                                   method="direct" if exact else "fft")
+            # Fast-ballot extension: with probability p the round
+            # collides and additionally pays the classic recovery — a
+            # fallback propose to the record master plus a classic-
+            # majority round there — so the cell's window becomes the
+            # (1-p, p) mixture of the direct and the recovery-extended
+            # chain.  (refresh() rebuilds such models exactly, so this
+            # branch only ever runs on reference-op rows.)
+            if self.mode == "fast" and self.collision_probability > 0.0:
+                p = self.collision_probability
+                recovery = one_way(cc, l).convolve(self._q_classic[l])
+                phi = Pmf.mixture([phi, phi.convolve(recovery)],
+                                  [1.0 - p, p])
+            self._phi[(cc, l)] = phi
+        self.rows_built += 1
 
     @property
     def ready(self) -> bool:
@@ -487,22 +441,18 @@ class CommitLikelihoodModel:
                           w_ms: float = 0.0) -> float:
         """Eq. 8b: P(no conflicting update during the window).
 
-        Memoized through :attr:`memo` when enabled; with the default
-        exact keys, a hit returns the bit-identical value a fresh
-        integral would have produced.
+        Memoized through :attr:`memo` on the exact inputs, so a hit
+        returns the bit-identical value a fresh integral would have
+        produced.
         """
-        memo = self.memo
-        if memo is None:
-            phi = self.conflict_window_pmf(client_dc, leader_dc)
-            return phi.no_arrival_probability(arrival_rate_per_ms,
-                                              extra_ms=max(w_ms, 0.0))
-        key, cached = memo.lookup(client_dc, leader_dc,
-                                  arrival_rate_per_ms, w_ms)
+        key, cached = self.memo.lookup(client_dc, leader_dc,
+                                       arrival_rate_per_ms, w_ms)
         if cached is not None:
             return cached
         phi = self.conflict_window_pmf(client_dc, leader_dc)
-        value = phi.no_arrival_probability(key[2], extra_ms=max(key[3], 0.0))
-        memo.store(key, value)
+        value = phi.no_arrival_probability(arrival_rate_per_ms,
+                                           extra_ms=max(w_ms, 0.0))
+        self.memo.store(key, value)
         return value
 
     def transaction_likelihood(
@@ -521,39 +471,32 @@ class CommitLikelihoodModel:
             return 1.0
         memo = self.memo
         values: List[Optional[float]] = [None] * len(records)
-        pending: List[Tuple[int, Optional[tuple], Pmf, float, float]] = []
+        pending: List[Tuple[int, tuple, Pmf, float]] = []
         for index, (leader_dc, rate) in enumerate(records):
-            if memo is not None:
-                key, cached = memo.lookup(client_dc, leader_dc, rate, w_ms)
-                if cached is not None:
-                    values[index] = cached
-                    continue
-                eval_rate, eval_w = key[2], key[3]
-            else:
-                key = None
-                eval_rate, eval_w = rate, w_ms
-            if eval_rate < 0:
+            key, cached = memo.lookup(client_dc, leader_dc, rate, w_ms)
+            if cached is not None:
+                values[index] = cached
+                continue
+            if rate < 0:
                 raise ValueError("negative arrival rate")
-            if eval_rate == 0:
+            if rate == 0:
                 values[index] = 1.0
-                if memo is not None:
-                    memo.store(key, 1.0)
+                memo.store(key, 1.0)
                 continue
             phi = self.conflict_window_pmf(client_dc, leader_dc)
-            pending.append((index, key, phi, eval_rate, eval_w))
+            pending.append((index, key, phi, rate))
         if pending:
             width = max(item[2].n_bins for item in pending)
             exponents = np.zeros((len(pending), width))
-            for row, (_, _, phi, rate, w) in enumerate(pending):
-                times = phi.bin_centers() + max(w, 0.0)
+            for row, (_, _, phi, rate) in enumerate(pending):
+                times = phi.bin_centers() + max(w_ms, 0.0)
                 exponents[row, :phi.n_bins] = -rate * times
             decay = np.exp(exponents)
-            for row, (index, key, phi, _, _) in enumerate(pending):
+            for row, (index, key, phi, _) in enumerate(pending):
                 value = float(np.dot(phi.probs, decay[row, :phi.n_bins]))
                 value = min(max(value, 0.0), 1.0)
                 values[index] = value
-                if memo is not None:
-                    memo.store(key, value)
+                memo.store(key, value)
         likelihood = 1.0
         for value in values:
             likelihood *= value

@@ -203,9 +203,9 @@ def protocol_comparison(latency: LatencyMatrix,
     for name, mode in (("mdcc_classic", "classic"), ("mdcc_fast", "fast")):
         model = CommitLikelihoodModel(
             latency, leader_distribution,
-            size_distribution=size_distribution, memo_capacity=0,
-            mode=mode, collision_probability=(collision_probability
-                                              if mode == "fast" else 0.0))
+            size_distribution=size_distribution, mode=mode,
+            collision_probability=(collision_probability
+                                   if mode == "fast" else 0.0))
         model.precompute()
         models.append((name, model))
         results[name] = model.record_likelihood(

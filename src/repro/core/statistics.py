@@ -45,7 +45,7 @@ class ModelSource:
     says where each directed pair's RTT statistics come from through
     :meth:`_pair_stamp` — a version stamp that moves whenever the
     pair's PMF would — and :meth:`_stamp_pmf`; this class builds the
-    latency matrix and, on incremental rebuilds, diffs the stamps
+    latency matrix and, on every build after the first, diffs the stamps
     recorded at the last build to feed only the moved pairs to
     :meth:`~repro.core.likelihood.CommitLikelihoodModel.refresh`.
     """
@@ -100,25 +100,26 @@ class ModelSource:
                         client_distribution: Optional[Sequence[float]],
                         fallback: Optional[Topology],
                         quorum: Optional[int],
-                        incremental: bool) -> CommitLikelihoodModel:
+                        collision_probability: float,
+                        ) -> CommitLikelihoodModel:
         """Patch the last model in place, or build a fresh one.
 
-        With ``incremental=True``, a model built by a previous call is
-        patched via
+        The first call builds cold with the full reference rebuild, in
+        the cluster's protocol mode.  Every later call patches that
+        model via
         :meth:`~repro.core.likelihood.CommitLikelihoodModel.refresh`
-        with the pairs whose stamps moved since that build; only the
-        cells they dirty are rebuilt (likelihood-memo entries for the
-        changed cells are invalidated, the rest survive).  The first
-        call — or a call after a topology/quorum change — always takes
-        the full reference rebuild.
+        with the pairs whose stamps moved since the last build; only
+        the nodes they dirty are rebuilt.  A topology, quorum or
+        collision-probability change takes a cold build again.
         """
         if leader_distribution is None:
             leader_distribution = self.cluster.mastership.leader_distribution()
         signature = {pair: self._pair_stamp(*pair) for pair in self._pairs()}
         model = self._model
-        if (incremental and model is not None
+        if (model is not None
                 and model.latency.n == len(self.cluster.topology)
-                and (quorum is None or quorum == model.quorum)):
+                and (quorum is None or quorum == model.quorum)
+                and collision_probability == model.collision_probability):
             model.refresh(
                 rtt_updates={
                     pair: self._pair_pmf(pair, stamp, fallback)
@@ -133,7 +134,8 @@ class ModelSource:
                 leader_distribution,
                 client_distribution=client_distribution,
                 size_distribution=self.size_distribution(),
-                quorum=quorum)
+                quorum=quorum, mode=self.cluster.mode,
+                collision_probability=collision_probability)
             model.precompute()
             self._model = model
         self._model_signature = signature
@@ -308,11 +310,13 @@ class StatisticsService(ModelSource):
                     client_distribution: Optional[List[float]] = None,
                     fallback: Optional[Topology] = None,
                     quorum: Optional[int] = None,
-                    incremental: bool = False) -> CommitLikelihoodModel:
-        """Assemble and precompute a likelihood model from current stats.
+                    collision_probability: float = 0.0,
+                    ) -> CommitLikelihoodModel:
+        """Assemble or patch the likelihood model from current stats.
 
-        ``incremental=True`` patches the model a previous call built
-        (see :meth:`ModelSource._maintain_model`).
+        See :meth:`ModelSource._maintain_model`; ``collision_probability``
+        feeds the fast-ballot recovery branch of a ``mode="fast"``
+        cluster's model.
         """
         return self._maintain_model(leader_distribution, client_distribution,
-                                    fallback, quorum, incremental)
+                                    fallback, quorum, collision_probability)

@@ -163,11 +163,6 @@ class ExperimentConfig:
     #: Rebuild measured/distributed models every interval (the paper
     #: recomputes as the statistics windows age); None = build once.
     model_refresh_ms: Optional[float] = None
-    #: Patch the measured/distributed models in place on refresh
-    #: (dirty-pair propagation + accelerated PMF algebra) instead of
-    #: rebuilding from scratch.  Pinned to the reference rebuild within
-    #: 1e-12 by the property suite; set False to force full rebuilds.
-    model_refresh_incremental: bool = True
     # windows (virtual time)
     warmup_ms: float = 30_000.0
     duration_ms: float = 60_000.0
@@ -413,8 +408,7 @@ class Experiment:
             matrix, self.cluster.mastership.leader_distribution(),
             size_distribution={size: 1.0 for size in sizes},
             mode=config.mode,
-            collision_probability=(config.fast_collision_probability
-                                   if config.mode == "fast" else 0.0))
+            collision_probability=config.fast_collision_probability)
         self.model.precompute()
         for session in self.sessions:
             session.model = self.model
@@ -422,12 +416,12 @@ class Experiment:
     def _prepare_measured_model(self) -> None:
         """Build the model from the statistics gathered during warmup.
 
-        The first call is always a full reference build; refresh-loop
-        calls reuse it incrementally unless the config opts out.
+        The first call is a full reference build; refresh-loop calls
+        patch it in place.
         """
         self.model = self.statistics.build_model(
             fallback=self.topology,
-            incremental=self.config.model_refresh_incremental)
+            collision_probability=self.config.fast_collision_probability)
         for session in self.sessions:
             session.model = self.model
 
@@ -435,13 +429,13 @@ class Experiment:
         """Per-DC models from each data center's dissemination agent.
 
         Like the measured model: a full reference build first, then
-        in-place refreshes unless the config opts out.
+        in-place refreshes.
         """
         for session in self.sessions:
             agent = self._agents[session.datacenter]
             session.model = agent.build_model(
                 fallback=self.topology,
-                incremental=self.config.model_refresh_incremental)
+                collision_probability=self.config.fast_collision_probability)
         self.model = self.sessions[0].model if self.sessions else None
 
     def _refresh_loop(self, rebuild, interval_ms: float):

@@ -27,8 +27,8 @@ WorkerPool`.  This module owns the three pieces that make that safe:
 
 ``run_sharded``
     The driver: shard, fan out via :func:`~repro.harness.parallel.
-    run_experiments` (per-shard results cross process boundaries in
-    the columnar codec), merge.
+    run_experiments` (per-shard results cross process boundaries
+    through plain pickle), merge.
 
 Note what sharding deliberately does **not** promise: a 4-shard run
 is not sample-for-sample identical to the 1-shard run — the shards

@@ -296,7 +296,8 @@ def bench_likelihood_decisions(scale: float, pool: int,
     The memoized arm is timed in that steady state (the 100-key fill
     lap runs before the clock starts): the fill cost is a fixed count
     of integrals, so folding it in would just make the ratio depend on
-    ``scale`` instead of on the cache.
+    ``scale`` instead of on the cache.  The unmemoized arm runs the
+    same integrals straight on the matrix cells.
     """
     model = _likelihood_model(scale)
     n_evals = max(2_000, int(DECISION_EVALUATIONS * scale))
@@ -308,14 +309,15 @@ def bench_likelihood_decisions(scale: float, pool: int,
         for cc, l, rate, w in stream:
             model.record_likelihood(cc, l, rate, w_ms=w)
 
+    def integrate() -> None:
+        for cc, l, rate, w in stream:
+            model.conflict_window_pmf(cc, l).no_arrival_probability(
+                rate, extra_ms=w)
+
     model.memo.clear()
     evaluate()  # fill lap: every key cached before the clock starts
     memo_s = best_of(lambda: timed(evaluate), repeats)
-    memo, model.memo = model.memo, None
-    try:
-        raw_s = best_of(lambda: timed(evaluate), repeats)
-    finally:
-        model.memo = memo
+    raw_s = best_of(lambda: timed(integrate), repeats)
     return {
         "evaluations": float(n_evals),
         "unmemoized_per_sec": n_evals / raw_s,
@@ -355,7 +357,7 @@ def bench_sweep(scale: float, pool: int,
     config.  The pool is forked once (its startup is reported
     separately, since a real sweep amortizes it over every point) and
     the parallel arm reuses it across repeats; results cross the
-    process boundary in columnar form.  ``effective_pool`` is the
+    process boundary through plain pickle.  ``effective_pool`` is the
     worker count after capping at the affinity mask — on a single-CPU
     host it is 1, the parallel arm degrades to the serial loop, and
     ``speedup`` ~1.0 is the expected (and correct) outcome; the

@@ -10,6 +10,7 @@ from repro.core.dissemination import (
     NodeStatsStore,
 )
 from repro.core.likelihood import CommitLikelihoodModel
+from repro.core.statistics import ModelSource
 from repro.harness import Experiment, ExperimentConfig
 from repro.mdcc import Cluster
 from repro.net import uniform_topology
@@ -172,13 +173,14 @@ def test_agent_incremental_build_reuses_the_model(monkeypatch):
               for dc in range(3)]
     env.run(until=3_000)
     calls = count_builds(monkeypatch)
-    first = agents[0].build_model(fallback=topo, incremental=True)
+    first = agents[0].build_model(fallback=topo)
     assert calls == [("precompute", first)]
     env.run(until=5_000)  # new probes: own samples and adopted views
-    again = agents[0].build_model(fallback=topo, incremental=True)
+    again = agents[0].build_model(fallback=topo)
     assert again is first
     assert calls == [("precompute", first), ("refresh", first)]
     # The patched model matches a cold build of the same view.
+    agents[0]._model = None  # drop the cached model: the next build is cold
     cold = agents[0].build_model(fallback=topo)
     assert cold is not first
     for l in range(3):
@@ -188,23 +190,36 @@ def test_agent_incremental_build_reuses_the_model(monkeypatch):
 
 
 def distributed_config(**kwargs):
-    return ExperimentConfig(
+    params = dict(
         name="dist", seed=11, topology="uniform", n_datacenters=3,
         uniform_one_way_ms=30.0, sigma=0.05, spike_prob=0.0,
         partitions_per_dc=1, n_items=400, hotspot_size=20,
         rate_tps=60.0, max_items=3, admission=DynamicPolicy(50),
         spec_threshold=0.95, stats_mode="distributed",
         ping_interval_ms=500.0, model_refresh_ms=1_000.0,
-        warmup_ms=3_000.0, duration_ms=6_000.0, drain_ms=3_000.0,
-        **kwargs)
+        warmup_ms=3_000.0, duration_ms=6_000.0, drain_ms=3_000.0)
+    params.update(kwargs)
+    return ExperimentConfig(**params)
 
 
-def test_distributed_refresh_incremental_matches_cold_rebuilds():
-    runs = [Experiment(distributed_config(model_refresh_incremental=flag))
-            for flag in (True, False)]
-    results = [experiment.run() for experiment in runs]
+@pytest.mark.parametrize("stats_mode", ["measured", "distributed"])
+def test_distributed_refresh_incremental_matches_cold_rebuilds(
+        monkeypatch, stats_mode):
+    runs = [Experiment(distributed_config(stats_mode=stats_mode))
+            for _ in range(2)]
+    incremental = runs[0].run()
+    # Cold arm: every build drops the cached model first, so each
+    # refresh is a full reference rebuild.
+    maintain = ModelSource._maintain_model
+
+    def cold_build(source, *args, **kwargs):
+        source._model = None
+        return maintain(source, *args, **kwargs)
+    monkeypatch.setattr(ModelSource, "_maintain_model", cold_build)
+    calls = count_builds(monkeypatch)
+    cold = runs[1].run()
+    assert calls and {kind for kind, _ in calls} == {"precompute"}
     assert runs[0].model_refreshes == runs[1].model_refreshes >= 5
-    incremental, cold = results
     # Same decisions everywhere; the predictions themselves agree to
     # the refresh path's 1e-12 pin.
     assert incremental.metrics.records == cold.metrics.records
@@ -259,3 +274,32 @@ def test_plain_ping_still_answered():
     env.process(caller(env))
     env.run(until=1_000)
     assert replies == [None]
+
+
+@pytest.mark.parametrize("stats_mode", ["oracle", "measured", "distributed"])
+def test_models_follow_the_fast_protocol_mode(stats_mode):
+    experiment = Experiment(distributed_config(stats_mode=stats_mode,
+                                               mode="fast"))
+    experiment.run()
+    models = {id(s.model): s.model for s in experiment.sessions}.values()
+    assert len(models) == (3 if stats_mode == "distributed" else 1)
+    for model in models:
+        assert (model.mode, model.quorum, model.fast_quorum) == (
+            "fast", 2, 3)
+    if stats_mode != "measured":
+        return
+    # Patch the hub's model up to the final statistics, then compare it
+    # with a cold fast-mode model built on the same matrix.
+    stats, topo = experiment.statistics, experiment.topology
+    patched = stats.build_model(fallback=topo)
+    assert patched is experiment.model
+    cold = CommitLikelihoodModel(
+        stats.latency_matrix(fallback=topo),
+        experiment.cluster.mastership.leader_distribution(),
+        size_distribution=stats.size_distribution(), mode="fast")
+    cold.precompute()
+    for cc in range(3):
+        for l in range(3):
+            diff = np.abs(patched.conflict_window_pmf(cc, l).probs
+                          - cold.conflict_window_pmf(cc, l).probs).max()
+            assert diff < 1e-12

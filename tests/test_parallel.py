@@ -7,18 +7,13 @@ import pytest
 
 from repro.harness.parallel import (
     WorkerPool,
-    decode_records,
-    decode_result,
     default_pool_size,
-    encode_records,
-    encode_result,
     experiment_cost_hint,
     parallel_map,
     run_experiments,
     worker_context,
 )
-from repro.harness.experiment import Experiment, ExperimentConfig
-from repro.obs.txmetrics import TxRecord
+from repro.harness.experiment import ExperimentConfig
 
 
 def _square(value):
@@ -186,8 +181,8 @@ def _fingerprint(result):
 
 
 def test_persistent_pool_matches_serial_across_reuse():
-    """The ISSUE's headline guarantee: a persistent pool (forked once,
-    reused across map calls, columnar transfer) yields byte-identical
+    """The headline guarantee: a persistent pool (forked once, reused
+    across map calls, results pickled back) yields byte-identical
     results to the serial loop — on every reuse, for every seed."""
     configs = _probe_configs()
     serial = [_fingerprint(r) for r in run_experiments(
@@ -208,40 +203,6 @@ def test_persistent_pool_streams_in_input_order():
     assert [r.config.name for r in results] == ["pool-probe-3",
                                                 "pool-probe-4"]
     assert seen == results  # same objects, streamed, in input order
-
-
-# -- columnar codec ------------------------------------------------------
-
-def test_record_codec_roundtrips_all_field_shapes():
-    records = [
-        TxRecord(system="planet", issued_ms=1.5, timeout_ms=200.0,
-                 hot=True, size=3, admitted=True, accepted_ms=10.25,
-                 decided_ms=90.0, committed=True, spec_ms=12.0,
-                 spec_incorrect=False, app_outcome="committed",
-                 stage_fired="a1", stage_fired_ms=12.0),
-        # every optional None, tri-state committed unknown
-        TxRecord(system="traditional", issued_ms=2.0, timeout_ms=150.0,
-                 hot=False, size=1),
-        # committed=False (distinct from None on the wire)
-        TxRecord(system="planet", issued_ms=3.0, timeout_ms=150.0,
-                 hot=False, size=2, admitted=False, committed=False,
-                 app_outcome="aborted"),
-    ]
-    rebuilt = decode_records(encode_records(records))
-    assert [dataclasses.astuple(r) for r in rebuilt] == \
-        [dataclasses.astuple(r) for r in records]
-    assert rebuilt[1].committed is None
-    assert rebuilt[2].committed is False
-    assert decode_records(encode_records([])) == []
-
-
-def test_result_codec_roundtrips_whole_experiment():
-    result = Experiment(_probe_configs(seeds=(3,))[0]).run()
-    rebuilt = decode_result(encode_result(result))
-    assert _fingerprint(rebuilt) == _fingerprint(result)
-    assert rebuilt.config == result.config
-    assert rebuilt.initial_likelihoods == result.initial_likelihoods
-    assert rebuilt.read_latencies_ms == result.read_latencies_ms
 
 
 # -- work distribution ---------------------------------------------------

@@ -81,14 +81,14 @@ def test_fft_convolve_matches_reference_within_tolerance():
             assert max_abs_diff(fast, exact) < TOL
 
 
-def test_auto_convolve_is_exact_below_cutoff():
-    # Default bins (<= 2047 full size) stay on the exact direct path:
-    # the result must be byte-identical to the naive reference.
+def test_default_convolve_is_byte_identical_to_reference():
+    # The default method is the exact direct path: the result must be
+    # byte-identical to the naive reference.
     for a in random_pmfs(seed=2, n_bins=512, count=6):
         for b in random_pmfs(seed=3, n_bins=512, count=6):
-            auto = a.convolve(b)
+            default = a.convolve(b)
             exact = _reference_convolve(a, b)
-            assert np.array_equal(auto.probs, exact.probs)
+            assert np.array_equal(default.probs, exact.probs)
 
 
 def test_convolve_rejects_unknown_method():
@@ -165,7 +165,7 @@ def test_unnormalized_mixture_within_tolerance():
                         _reference_mixture(pmfs, weights)) < TOL
 
 
-# ---------------------------------------------------------- support & truncate
+# -------------------------------------------------------------------- support
 
 
 def test_effective_support_trims_cdf_artifact_not_real_mass():
@@ -185,19 +185,6 @@ def test_effective_support_trims_cdf_artifact_not_real_mass():
 def test_effective_support_never_exceeds_support():
     for pmf in random_pmfs(seed=13):
         assert 1 <= pmf.effective_support <= pmf.support
-
-
-def test_truncate_zero_epsilon_is_identity():
-    pmf = random_pmfs(seed=14, count=1)[0]
-    assert pmf.truncate(0.0) is pmf
-    assert pmf.truncate(-1.0) is pmf
-
-
-def test_truncate_conserves_mass_and_bounds_error():
-    for pmf in random_pmfs(seed=15):
-        cut = pmf.truncate(1e-9)
-        assert cut.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert max_abs_diff(cut, pmf) <= 1e-9
 
 
 # ---------------------------------------------------------------- memoization
@@ -224,11 +211,9 @@ def test_memoized_record_likelihood_is_bit_identical():
     cases = [(cc, l, rate, w)
              for cc in range(N_DC) for l in range(N_DC)
              for rate in (0.0, 1e-3, 0.02) for w in (0.0, 5.0)]
-    # Unmemoized ground truth.
-    memo, model.memo = model.memo, None
-    truth = [model.record_likelihood(cc, l, rate, w_ms=w)
-             for cc, l, rate, w in cases]
-    model.memo = memo
+    # Unmemoized ground truth: the integral straight on the cell.
+    truth = [model.conflict_window_pmf(cc, l).no_arrival_probability(
+        rate, extra_ms=w) for cc, l, rate, w in cases]
     # First pass fills the memo, second pass is all hits; both must
     # equal the ground truth exactly (exact keys, no quantization).
     for _ in range(2):
@@ -241,31 +226,14 @@ def test_memoized_record_likelihood_is_bit_identical():
 def test_transaction_likelihood_memo_and_vectorization_agree():
     model = make_model()
     records = [(0, 1e-3), (1, 2e-3), (2, 0.0), (0, 1e-3)]
-    memo, model.memo = model.memo, None
     expected = 1.0
     for leader, rate in records:
-        expected *= model.record_likelihood(1, leader, rate, w_ms=3.0)
-    model.memo = memo
+        phi = model.conflict_window_pmf(1, leader)
+        expected *= phi.no_arrival_probability(rate, extra_ms=3.0)
     cold = model.transaction_likelihood(1, records, w_ms=3.0)
     warm = model.transaction_likelihood(1, records, w_ms=3.0)
     assert cold == expected
     assert warm == expected
-
-
-def test_quantized_memo_evaluates_at_snapped_point():
-    model = make_model(rate_quantum=1e-3, w_quantum=1.0)
-    snapped_rate, snapped_w = model.memo.evaluation_point(0.00234, 4.6)
-    assert snapped_rate == pytest.approx(0.002)
-    assert snapped_w == pytest.approx(5.0)
-    got = model.record_likelihood(0, 1, 0.00234, w_ms=4.6)
-    memo, model.memo = model.memo, None
-    truth = model.record_likelihood(0, 1, snapped_rate, w_ms=snapped_w)
-    model.memo = memo
-    assert got == truth
-    # A neighbour snapping to the same grid point hits the same entry.
-    before = model.memo.hits
-    assert model.record_likelihood(0, 1, 0.0021, w_ms=5.4) == truth
-    assert model.memo.hits == before + 1
 
 
 def test_memo_lru_eviction_and_counters():
@@ -286,25 +254,9 @@ def test_memo_lru_eviction_and_counters():
     assert memo.hit_rate() == pytest.approx(2 / 6)
 
 
-def test_memo_invalidate_cells_is_surgical():
-    memo = LikelihoodMemo()
-    for cell in [(0, 0), (0, 1), (1, 1)]:
-        for rate in (1e-3, 2e-3):
-            key, _ = memo.lookup(cell[0], cell[1], rate, 0.0)
-            memo.store(key, 0.9)
-    assert memo.invalidate_cells([(0, 1)]) == 2
-    assert memo.lookup(0, 1, 1e-3, 0.0)[1] is None
-    assert memo.lookup(0, 0, 1e-3, 0.0)[1] == 0.9
-    assert memo.invalidate_cells([]) == 0
-
-
 def test_memo_validation():
     with pytest.raises(ValueError):
         LikelihoodMemo(capacity=0)
-    with pytest.raises(ValueError):
-        LikelihoodMemo(rate_quantum=0.0)
-    with pytest.raises(ValueError):
-        LikelihoodMemo(w_quantum=-1.0)
 
 
 def test_refresh_invalidates_only_changed_cells_in_memo():
@@ -445,17 +397,18 @@ def make_stats(n_dc=3, seed=9):
 
 def test_incremental_build_reuses_and_patches_the_model():
     stats, topo = make_stats()
-    first = stats.build_model(fallback=topo, incremental=True)
+    first = stats.build_model(fallback=topo)
     # No new samples: the same object comes back, nothing recomputed.
-    assert stats.build_model(fallback=topo, incremental=True) is first
+    assert stats.build_model(fallback=topo) is first
     # New samples on one pair: still the same object, now patched.
     for _ in range(50):
         stats.record_rtt(0, 1, 80.0)
-    patched = stats.build_model(fallback=topo, incremental=True)
+    patched = stats.build_model(fallback=topo)
     assert patched is first
     assert patched.latency.rtt(0, 1).mean() > 50.0
 
-    fresh = stats.build_model(fallback=topo, incremental=False)
+    stats._model = None  # drop the cached model: the next build is cold
+    fresh = stats.build_model(fallback=topo)
     assert fresh is not first
     for cc in range(3):
         for l in range(3):
@@ -465,8 +418,8 @@ def test_incremental_build_reuses_and_patches_the_model():
 
 def test_incremental_build_falls_back_on_quorum_change():
     stats, topo = make_stats()
-    first = stats.build_model(fallback=topo, incremental=True)
-    other = stats.build_model(fallback=topo, quorum=3, incremental=True)
+    first = stats.build_model(fallback=topo)
+    other = stats.build_model(fallback=topo, quorum=3)
     assert other is not first
     assert other.quorum == 3
 
